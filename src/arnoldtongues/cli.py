@@ -56,8 +56,7 @@ from .tongues import (
 def _num(text: str) -> float:
     """Numeric argument: decimal or p/q fraction."""
     if "/" in text:
-        num, den = text.split("/", 1)
-        return int(num) / int(den)
+        return float(_rat(text))
     return float(text)
 
 
@@ -65,7 +64,10 @@ def _rat(text: str) -> Fraction:
     """Rational argument: p/q or exact decimal."""
     if "/" in text:
         num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        try:
+            return Fraction(int(num), int(den))
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
     return Fraction(text)
 
 
@@ -101,9 +103,9 @@ def _cmd_lift(args) -> Dict:
     p = Params(args.a, args.b)
     out: Dict = {"a": p.a, "b": p.b}
     if args.x is not None:
-        out["value"] = float(eval_lift(p, args.x))
+        out["value"] = eval_lift(p, args.x)
         if args.order:
-            out[f"deriv{args.order}"] = float(deriv(p, args.x, args.order))
+            out[f"deriv{args.order}"] = deriv(p, args.x, args.order)
         if args.schwarzian:
             out["schwarzian"] = float(schwarzian(p, args.x))
     if args.critical:
@@ -116,7 +118,7 @@ def _cmd_lift(args) -> Dict:
         out["plateau_end"] = m.plateau_end
         out["plateau_value"] = m.plateau_value
         if args.x is not None:
-            out["envelope_value"] = float(m.eval(args.x))
+            out["envelope_value"] = m.eval(args.x)
     return out
 
 

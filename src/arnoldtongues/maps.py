@@ -67,20 +67,40 @@ class CriticalSet:
 
 
 def eval_lift(p: Params, x: ArrayLike) -> ArrayLike:
-    """Value of the lift at x.  Accepts scalars or arrays."""
+    """Value of the lift at x.  Accepts scalars or arrays.
+
+    A float x (numpy float64 included) is evaluated with math and returns a
+    float; anything else goes through numpy.  Both paths apply the same
+    operations in the same order, so on builds where numpy's sin and cos
+    round like the C library's the scalar result equals the matching array
+    element bit for bit.  A non-finite float gives nan, as numpy does.
+    """
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            return math.nan
+        x = float(x)
+        return x + p.a + (p.b / TWO_PI) * math.sin(TWO_PI * x)
     return x + p.a + (p.b / TWO_PI) * np.sin(TWO_PI * np.asarray(x, dtype=float))
 
 
 def deriv(p: Params, x: ArrayLike, order: int = 1) -> ArrayLike:
-    """Derivative of the lift of the given order (1, 2 or 3)."""
-    xv = np.asarray(x, dtype=float)
+    """Derivative of the lift of the given order (1, 2 or 3).
+
+    Float and array inputs are evaluated as in eval_lift.
+    """
+    if order not in (1, 2, 3):
+        raise ValueError(f"order must be 1, 2 or 3, got {order!r}")
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            return math.nan
+        sin, cos, xv = math.sin, math.cos, float(x)
+    else:
+        sin, cos, xv = np.sin, np.cos, np.asarray(x, dtype=float)
     if order == 1:
-        return 1.0 + p.b * np.cos(TWO_PI * xv)
+        return 1.0 + p.b * cos(TWO_PI * xv)
     if order == 2:
-        return -TWO_PI * p.b * np.sin(TWO_PI * xv)
-    if order == 3:
-        return -TWO_PI * TWO_PI * p.b * np.cos(TWO_PI * xv)
-    raise ValueError(f"order must be 1, 2 or 3, got {order!r}")
+        return -TWO_PI * p.b * sin(TWO_PI * xv)
+    return -TWO_PI * TWO_PI * p.b * cos(TWO_PI * xv)
 
 
 def schwarzian(p: Params, x: ArrayLike) -> ArrayLike:
@@ -139,23 +159,34 @@ class MonotoneLift:
     plateau_value: Optional[float]
 
     def eval(self, x: ArrayLike) -> ArrayLike:
-        """Evaluate the monotone lift at x (scalar or array)."""
+        """Evaluate the monotone lift at x (scalar or array).
+
+        Float and array inputs are evaluated as in eval_lift.
+        """
         if self.plateau_start is None:
             return eval_lift(self.base, x)
-        xv = np.asarray(x, dtype=float)
+        scalar = isinstance(x, float)
+        if scalar:
+            if not math.isfinite(x):
+                return math.nan
+            xv, floor = float(x), math.floor
+        else:
+            xv, floor = np.asarray(x, dtype=float), np.floor
         if self.which == PLUS:
             # Fold into [plateau_start, plateau_start + 1): the plateau is
             # the initial segment [plateau_start, plateau_end] of the window.
-            n = np.floor(xv - self.plateau_start)
+            n = floor(xv - self.plateau_start)
             t = xv - n
             flat = t <= self.plateau_end
         else:
             # Window [plateau_end - 1, plateau_end): the plateau is the final
             # segment [plateau_start, plateau_end] of the window.
             wstart = self.plateau_end - 1.0
-            n = np.floor(xv - wstart)
+            n = floor(xv - wstart)
             t = xv - n
             flat = t >= self.plateau_start
+        if scalar:
+            return (self.plateau_value if flat else eval_lift(self.base, t)) + n
         val = np.where(flat, self.plateau_value, eval_lift(self.base, t)) + n
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(val)
@@ -179,10 +210,10 @@ def envelope(p: Params, which: str) -> MonotoneLift:
     if which == PLUS:
         # The upper envelope holds the local maximum value F(x_max) until the
         # rising branch past x_min catches up with it.
-        value = float(eval_lift(p, x_max))
+        value = eval_lift(p, x_max)
         try:
             s = bisect_root(
-                lambda t: float(eval_lift(p, t)) - value,
+                lambda t: eval_lift(p, t) - value,
                 x_min,
                 x_max + 1.0,
                 tol=1e-14,
@@ -196,9 +227,9 @@ def envelope(p: Params, which: str) -> MonotoneLift:
         )
     # Lower envelope: holds F(x_min) from the point s' on the rising branch
     # before x_max where F first reaches that value.
-    value = float(eval_lift(p, x_min))
+    value = eval_lift(p, x_min)
     s_prime = bisect_root(
-        lambda t: float(eval_lift(p, t)) - value,
+        lambda t: eval_lift(p, t) - value,
         x_min - 1.0,
         x_max,
         tol=1e-14,

@@ -108,8 +108,8 @@ def _closure_deriv(p: Params, q: int, x: float) -> float:
     y = x
     prod = 1.0
     for _ in range(q):
-        prod *= float(deriv(p, y, 1))
-        y = float(eval_lift(p, y))
+        prod *= deriv(p, y, 1)
+        y = eval_lift(p, y)
         y -= math.floor(y)
     return prod - 1.0
 
@@ -233,7 +233,7 @@ def find_periodic_orbits(
         for _ in range(q):
             used[idx] = True
             members.append(float(xs[idx]))
-            y = float(eval_lift(p, xs[idx])) % 1.0
+            y = eval_lift(p, xs[idx]) % 1.0
             dist = np.abs(xs - y)
             dist = np.minimum(dist, 1.0 - dist)
             idx = int(np.argmin(dist))
@@ -316,6 +316,6 @@ def itinerary(p: Params, x: float, length: int) -> Itinerary:
             out.append("L")
         else:
             out.append("M")
-        y = float(eval_lift(p, y))
+        y = eval_lift(p, y)
         y -= math.floor(y)
     return Itinerary(symbols="".join(out), length=length)

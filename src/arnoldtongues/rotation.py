@@ -221,6 +221,8 @@ def rotation_interval(
     (enough iterations that each endpoint is within tol even without a
     rational certificate).
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
     if n_iter is None:
         n_iter = max(1, math.ceil(2.0 / tol))
     lo = rho_monotone(envelope(p, MINUS), n_iter=n_iter, x0=x0, q_max=q_max)

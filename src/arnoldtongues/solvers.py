@@ -3,7 +3,10 @@
 These are intentionally simple: plain bisection on a sign change and a
 golden-section minimiser.  Both are branch-free in the sense that the same
 inputs always produce the same floating point outputs, which keeps sweep
-artifacts byte-reproducible across runs and platforms.
+artifacts byte-reproducible across runs.  Across platforms the bytes match
+only where numpy's sin and cos round exactly like the C library's math.sin
+and math.cos, because scalar lift evaluations go through math and array
+evaluations through numpy (see maps.eval_lift).
 """
 
 from __future__ import annotations

@@ -168,6 +168,10 @@ def raster(
         raise ValueError(f"grid must be at least 1x1, got {na}x{nb}")
     if b_min < 0.0:
         raise ValueError(f"b_min must be >= 0, got {b_min!r}")
+    if n_iter < 1:
+        raise ValueError(f"n_iter must be >= 1, got {n_iter!r}")
+    if workers is not None and workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers!r}")
     avec = _cell_centers(a_min, a_max, na)
     bvec = _cell_centers(b_min, b_max, nb)
     row_args = [(float(b), a_min, a_max, na, n_iter) for b in bvec]

@@ -185,6 +185,8 @@ def plateau_edges(
     mutually inconsistent edge locations, which a valid bracket cannot
     produce.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
     r = Rational(r)
     if a_window is None:
         a_window = default_window(b, r)
@@ -264,6 +266,8 @@ def trace_curve(
         raise ValueError(f"unknown curve kind {kind!r}")
     if step <= 0.0:
         raise ValueError(f"step must be > 0, got {step!r}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
     r = Rational(r)
     b_lo, b_hi = b_range
     if not b_lo <= b_hi:
@@ -378,8 +382,8 @@ def boundary_condition_residuals(p: Params, r: Rational) -> BoundaryResiduals:
     pts = list(orbit.points)
     succ = next((y for y in pts if y > x_c + 1e-12), pts[0] + 1.0)
     pred = next((y for y in reversed(pts) if y < x_k - 1e-12), pts[-1] - 1.0)
-    bl = float(eval_lift(p, x_c)) - float(eval_lift(p, succ))
-    br = float(eval_lift(p, x_k)) - float(eval_lift(p, pred))
+    bl = eval_lift(p, x_c) - eval_lift(p, succ)
+    br = eval_lift(p, x_k) - eval_lift(p, pred)
     return BoundaryResiduals(
         saddle_node=sn,
         o_prime_absent=second is None,

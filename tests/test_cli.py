@@ -85,6 +85,18 @@ def test_usage_error_exit_codes(capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("usage error:")
+    ras = ["raster", "--a-min", "0", "--a-max", "1", "--b-min", "0", "--b-max", "1"]
+    ras += ["--na", "1", "--nb", "1"]
+    for argv in (
+        ["interval", "--a", "1/0", "--b", "2"],
+        ["orbit", "--a", "0.1", "--b", "2", "--rot", "1/0"],
+        ["interval", "--a", "0.1", "--b", "2", "--tol", "0"],
+        ras + ["--n-iter", "0"],
+        ["edges", "--b", "2", "--rot", "0/1", "--tol", "-1"],
+        ras + ["--workers", "-3"],
+    ):
+        assert main(argv) == 2, argv
+        capsys.readouterr()
 
 
 def test_lift_full_report(capsys):

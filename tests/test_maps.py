@@ -17,6 +17,7 @@ from arnoldtongues import (
     eval_lift,
     schwarzian,
 )
+from arnoldtongues.solvers import bisect_root
 from oracle_values import (
     EVAL_AT_QUARTER,
     S2,
@@ -38,12 +39,66 @@ def test_eval_quarter_point():
     assert eval_lift(Params(0.5, 1.0), 0.25) == pytest.approx(EVAL_AT_QUARTER, abs=1e-12)
 
 
+def _probe_points(p):
+    """A spread of points plus every plateau endpoint and its +-1 translates."""
+    pts = list(np.linspace(-1.0, 2.0, 17)) + list(critical_points(p).points)
+    for which in (PLUS, MINUS):
+        m = envelope(p, which)
+        if m.plateau_start is not None:
+            for edge in (m.plateau_start, m.plateau_end):
+                pts += [edge - 1.0, edge, edge + 1.0]
+    return np.array(pts, dtype=float)
+
+
 def test_eval_array_matches_scalar():
+    # Floats take the math path, arrays the numpy path; the two must agree
+    # bit for bit, not just within a tolerance.  b <= 1 and b > 1 both.
+    for a, b in [(0.1, 2.0), (-0.3, 0.7), (0.45, 1.0), (0.2, 3.3), (1.7, 1.05)]:
+        p = Params(a, b)
+        xs = _probe_points(p)
+        cases = [("eval_lift", lambda x: eval_lift(p, x))]
+        cases += [(f"deriv{o}", lambda x, o=o: deriv(p, x, o)) for o in (1, 2, 3)]
+        cases += [(f"{w} envelope", envelope(p, w).eval) for w in (PLUS, MINUS)]
+        for name, f in cases:
+            vec = np.asarray(f(xs))
+            for x, y in zip(xs, vec):
+                got = f(float(x))
+                assert type(got) is float
+                assert got == float(y), f"{name} at {p}, x={float(x)!r}"
+                assert f(x) == got  # numpy float64 scalar input
+
+
+def test_eval_scalar_nonfinite_matches_array():
     p = Params(0.1, 2.0)
-    xs = np.linspace(-1.0, 2.0, 17)
-    vec = np.asarray(eval_lift(p, xs))
-    for x, y in zip(xs, vec):
-        assert y == pytest.approx(eval_lift(p, float(x)), abs=0.0)
+    xs = np.array([np.inf, -np.inf, np.nan])
+    funcs = [lambda x: eval_lift(p, x), envelope(p, PLUS).eval, envelope(p, MINUS).eval]
+    funcs += [lambda x, o=o: deriv(p, x, o) for o in (1, 2, 3)]
+    for f in funcs:
+        with np.errstate(invalid="ignore"):
+            assert np.all(np.isnan(f(xs)))
+        assert all(math.isnan(f(float(x))) for x in xs)
+
+
+def test_plateau_edges_match_array_path_bisection():
+    # The envelope bisects on scalar lift values; redoing that bisection on
+    # one-element arrays must land on the same bits.
+    for b in (1.05, 2.0, 3.3):
+        p = Params(0.3, b)
+        x_max, x_min = critical_points(p).points
+
+        def lift_np(t):
+            return float(eval_lift(p, np.array([t]))[0])
+
+        up = envelope(p, PLUS)
+        assert up.plateau_value == lift_np(x_max)
+        assert up.plateau_end == bisect_root(
+            lambda t: lift_np(t) - up.plateau_value, x_min, x_max + 1.0, tol=1e-14
+        )
+        down = envelope(p, MINUS)
+        assert down.plateau_value == lift_np(x_min)
+        assert down.plateau_start == bisect_root(
+            lambda t: lift_np(t) - down.plateau_value, x_min - 1.0, x_max, tol=1e-14
+        )
 
 
 def test_degree_one_identity(rng):
