@@ -337,14 +337,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Rotation intervals and tongue boundaries of the standard "
         "degree-one circle-map family.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument(
-        "--q-max",
-        type=int,
-        default=Q_MAX_DEFAULT,
-        help="largest denominator for rational certification",
-    )
+    def common_options(q_max: int) -> argparse.ArgumentParser:
+        # A fresh parent per default: subparsers share their parents'
+        # actions, so set_defaults on one would change every other.
+        common = argparse.ArgumentParser(add_help=False)
+        common.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        common.add_argument(
+            "--q-max",
+            type=int,
+            default=q_max,
+            help="largest denominator for rational certification",
+        )
+        return common
+
+    common = common_options(Q_MAX_DEFAULT)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_lift = sub.add_parser("lift", parents=[common], help="evaluate the lift and its local data")
@@ -428,7 +434,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_x.add_argument("--step", type=_num, default=0.05)
     p_x.set_defaults(func=_cmd_intersect)
 
-    p_ras = sub.add_parser("raster", parents=[common], help="parameter-plane raster")
+    p_ras = sub.add_parser(
+        "raster", parents=[common_options(RASTER_Q_MAX)], help="parameter-plane raster"
+    )
     p_ras.add_argument("--a-min", type=_num, required=True)
     p_ras.add_argument("--a-max", type=_num, required=True)
     p_ras.add_argument("--b-min", type=_num, required=True)
@@ -440,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ras.add_argument("--workers", type=int, default=None)
     p_ras.add_argument("--img", default=None, help="write a P6 PPM here")
     p_ras.add_argument("--csv", default=None, help="write cell data here")
-    p_ras.set_defaults(func=_cmd_raster, q_max=RASTER_Q_MAX)
+    p_ras.set_defaults(func=_cmd_raster)
 
     p_aud = sub.add_parser("audit-lipschitz", parents=[common], help="slope audit of a curve CSV")
     p_aud.add_argument("--in", dest="infile", required=True, metavar="CURVE.CSV")

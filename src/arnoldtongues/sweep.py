@@ -14,12 +14,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .maps import MINUS, PLUS, TWO_PI, Params, envelope
-from .rotation import Rational, rho_exact_rational_test, snap_rational
+from .rotation import Rational, rho_exact_rational_test
 from .tongues import BoundaryCurve, Region
 
 WORKERS_ENV = "ARNOLDTONGUES_WORKERS"
@@ -27,6 +27,9 @@ WORKERS_ENV = "ARNOLDTONGUES_WORKERS"
 # Defaults for raster cells: iteration count and snapping.
 RASTER_N_ITER = 1000
 RASTER_Q_MAX = 32
+
+# Most rows of cells iterated as one array; bounds the kernel's memory.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,57 +80,105 @@ def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (np.arange(n, dtype=float) + 0.5) * ((hi - lo) / n)
 
 
-def _raster_row(
-    args: Tuple[float, float, float, int, int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Endpoint estimates for one constant-b row of cells.
+def _raster_block(args: Tuple[np.ndarray, np.ndarray, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Endpoint estimates for a block of constant-b rows of cells.
 
-    Iterates both monotone envelopes simultaneously over the whole row,
-    carrying the integer winding separately.  Plateau geometry is shared
-    across the row because the plateau interval does not depend on a.
+    The block is iterated as one array, a row per b and a column per a,
+    carrying the integer winding separately.  Rows with b <= 1 iterate the
+    lift itself, which both envelopes equal.  Rows with b > 1 iterate both
+    envelopes at once, the lower envelope's rows stacked above the upper's,
+    with each row's plateau geometry as column vectors.  One upper envelope
+    per b gives that geometry: the plateau interval does not depend on a,
+    and the lower plateau is its reflection.  Every cell goes through the
+    same operations in the same order whatever the block it is in.
     """
-    b, a_min, a_max, na, n_iter = args
-    avec = _cell_centers(a_min, a_max, na)
-    coef = b / TWO_PI
-    plus = envelope(Params(0.0, b), PLUS)
-    out = []
-    for which in (MINUS, PLUS):
-        y = np.zeros(na)
-        wind = np.zeros(na)
-        if plus.plateau_start is None:
-            for _ in range(n_iter):
-                y = y + avec + coef * np.sin(TWO_PI * y)
-                k = np.floor(y)
-                wind += k
-                y -= k
-        elif which is PLUS:
-            x_max = plus.plateau_start
-            s = plus.plateau_end
-            val0 = x_max + coef * math.sin(TWO_PI * x_max)
-            for _ in range(n_iter):
-                n = np.floor(y - x_max)
-                t = y - n
-                flat = t <= s
-                y = np.where(flat, val0 + avec, t + avec + coef * np.sin(TWO_PI * t)) + n
-                k = np.floor(y)
-                wind += k
-                y -= k
-        else:
-            x_max = plus.plateau_start
-            s_prime = 1.0 - plus.plateau_end
-            x_min = 1.0 - x_max
-            val0 = x_min + coef * math.sin(TWO_PI * x_min)
-            wstart = x_min - 1.0
-            for _ in range(n_iter):
-                n = np.floor(y - wstart)
-                t = y - n
-                flat = t >= s_prime
-                y = np.where(flat, val0 + avec, t + avec + coef * np.sin(TWO_PI * t)) + n
-                k = np.floor(y)
-                wind += k
-                y -= k
-        out.append((y + wind) / n_iter)
-    return out[0], out[1]
+    bvec, avec, n_iter = args
+    coef = (bvec / TWO_PI)[:, None]
+    pluses = [envelope(Params(0.0, float(b)), PLUS) for b in bvec]
+    plain = np.array([m.plateau_start is None for m in pluses])
+    rho_minus = np.empty((len(bvec), len(avec)))
+    rho_plus = np.empty_like(rho_minus)
+
+    if plain.any():
+        c = coef[plain]
+        y = np.zeros((len(c), len(avec)))
+        wind = np.zeros_like(y)
+        for _ in range(n_iter):
+            y = y + avec + c * np.sin(TWO_PI * y)
+            k = np.floor(y)
+            wind += k
+            y -= k
+        rho_minus[plain] = rho_plus[plain] = (y + wind) / n_iter
+
+    if not plain.all():
+        geo = np.array(
+            [[m.plateau_start, m.plateau_end] for m in pluses if m.plateau_start is not None]
+        )
+        x_max, s = geo[:, :1], geo[:, 1:]
+        x_min = 1.0 - x_max
+        # Each row folds y into its window [w, w + 1) and is flat where
+        # lo <= t <= hi: the final segment [1 - s, w + 1) of the lower
+        # envelope's window, the initial segment [x_max, s] of the upper's.
+        w = np.vstack([x_min - 1.0, x_max])
+        lo = np.vstack([1.0 - s, np.full_like(s, -np.inf)])
+        hi = np.vstack([np.full_like(s, np.inf), s])
+        c = np.vstack([coef[~plain]] * 2)
+        # The plateau holds the lift's value at the local minimum (lower
+        # envelope) or maximum (upper envelope).
+        x_ext = np.vstack([x_min, x_max])
+        sin_ext = np.array([[math.sin(TWO_PI * x)] for x in x_ext[:, 0].tolist()])
+        flat_val = x_ext + c * sin_ext + avec
+        y = np.zeros((len(c), len(avec)))
+        wind = np.zeros_like(y)
+        for _ in range(n_iter):
+            n = np.floor(y - w)
+            t = y - n
+            flat = (t >= lo) & (t <= hi)
+            # sin only off the plateau; np.where drops the other cells.
+            arg = TWO_PI * t
+            np.sin(arg, out=arg, where=~flat)
+            y = np.where(flat, flat_val, t + avec + c * arg) + n
+            k = np.floor(y)
+            wind += k
+            y -= k
+        rho = (y + wind) / n_iter
+        rho_minus[~plain], rho_plus[~plain] = np.split(rho, 2)
+    return rho_minus, rho_plus
+
+
+def _snap_grid(values: np.ndarray, tol: float, q_max: int) -> List[List[Optional[Rational]]]:
+    """snap_rational of every element of a 2-D array, as nested lists.
+
+    One array pass per denominator q = 1..q_max does what snap_rational
+    does per value: np.round rounds half to even like round, and a
+    denominator replaces the best so far only when strictly closer, so
+    ties go to the smaller one.  Equal fractions are one shared object.
+    """
+    best_p = np.zeros(values.shape)
+    best_q = np.zeros(values.shape, dtype=np.int64)
+    best_err = np.full(values.shape, tol)
+    for q in range(1, q_max + 1):
+        p = np.round(values * q)
+        err = np.abs(values - p / q)
+        closer = err < best_err
+        best_err[closer] = err[closer]
+        best_p[closer] = p[closer]
+        best_q[closer] = q
+    fractions: Dict[Tuple[int, int], Rational] = {}
+
+    def frac(p: float, q: int) -> Optional[Rational]:
+        if q == 0:
+            return None
+        key = (int(p), q)
+        r = fractions.get(key)
+        if r is None:
+            r = fractions[key] = Fraction(*key)
+        return r
+
+    return [
+        [frac(p, q) for p, q in zip(p_row, q_row)]
+        for p_row, q_row in zip(best_p.tolist(), best_q.tolist())
+    ]
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
@@ -172,29 +223,23 @@ def raster(
         raise ValueError(f"n_iter must be >= 1, got {n_iter!r}")
     if workers is not None and workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers!r}")
+    if q_max < 1:
+        raise ValueError(f"q_max must be >= 1, got {q_max!r}")
     avec = _cell_centers(a_min, a_max, na)
     bvec = _cell_centers(b_min, b_max, nb)
-    row_args = [(float(b), a_min, a_max, na, n_iter) for b in bvec]
     n_workers = _resolve_workers(workers)
-    if n_workers == 1 or nb == 1:
-        rows = [_raster_row(arg) for arg in row_args]
+    rows = min(_BLOCK_ROWS, -(-nb // n_workers))
+    blocks = [(bvec[j : j + rows], avec, n_iter) for j in range(0, nb, rows)]
+    if n_workers == 1 or len(blocks) == 1:
+        parts = [_raster_block(blk) for blk in blocks]
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(_raster_row, row_args, chunksize=max(1, nb // (4 * n_workers))))
-    rho_minus = np.vstack([r[0] for r in rows])
-    rho_plus = np.vstack([r[1] for r in rows])
+            parts = list(pool.map(_raster_block, blocks))
+    rho_minus = np.vstack([part[0] for part in parts])
+    rho_plus = np.vstack([part[1] for part in parts])
     err = 1.0 / n_iter
-    snap_tol = 2.0 * err
-    lock_lo: List[List[Optional[Rational]]] = []
-    lock_hi: List[List[Optional[Rational]]] = []
-    for j in range(nb):
-        row_lo: List[Optional[Rational]] = []
-        row_hi: List[Optional[Rational]] = []
-        for i in range(na):
-            row_lo.append(snap_rational(float(rho_minus[j, i]), snap_tol, q_max))
-            row_hi.append(snap_rational(float(rho_plus[j, i]), snap_tol, q_max))
-        lock_lo.append(row_lo)
-        lock_hi.append(row_hi)
+    locks = _snap_grid(np.vstack([rho_minus, rho_plus]), 2.0 * err, q_max)
+    lock_lo, lock_hi = locks[:nb], locks[nb:]
     if certify:
         for j in range(nb):
             b = float(bvec[j])
@@ -230,16 +275,14 @@ def render_ppm(g: RasterGrid, palette: Optional[Palette] = None) -> bytes:
     if palette is None:
         palette = Palette()
     header = f"P6\n{g.na} {g.nb}\n255\n".encode("ascii")
+    colors: Dict[int, bytes] = {}  # denominator, 0 when unlocked -> RGB
     payload = bytearray()
-    for j in range(g.nb - 1, -1, -1):
-        for i in range(g.na):
-            lo = g.lock_lo[j][i]
-            hi = g.lock_hi[j][i]
-            if lo is not None and lo == hi:
-                rgb = palette.color_for_denominator(lo.denominator)
-            else:
-                rgb = palette.unlocked
-            payload.extend(rgb)
+    for los, his in zip(reversed(g.lock_lo), reversed(g.lock_hi)):
+        for lo, hi in zip(los, his):
+            q = lo.denominator if lo is not None and lo == hi else 0
+            if q not in colors:
+                colors[q] = bytes(palette.color_for_denominator(q) if q else palette.unlocked)
+            payload += colors[q]
     return header + bytes(payload)
 
 

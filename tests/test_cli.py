@@ -99,6 +99,31 @@ def test_usage_error_exit_codes(capsys):
         capsys.readouterr()
 
 
+def test_q_max_default_per_subcommand(capsys):
+    # raster's default of 32 must not leak into the other subcommands
+    out = run_json(capsys, ["rho", "--a", "0.025", "--b", "0.5", "--test", "1/40"])
+    assert out["test_label"] == "1/40"
+    assert out["test_result"] is False
+    parser = _build_parser()
+    ras = ["raster", "--a-min", "0", "--a-max", "1", "--b-min", "0", "--b-max", "1"]
+    assert parser.parse_args(ras + ["--na", "1", "--nb", "1"]).q_max == 32
+    pt = ["--a", "0.1", "--b", "2"]
+    for argv in (
+        ["lift", *pt],
+        ["rho", *pt],
+        ["snap", "--value", "0.5", "--tol", "0.1"],
+        ["interval", *pt],
+        ["orbit", *pt, "--rot", "0/1"],
+        ["edges", "--b", "2", "--rot", "0/1"],
+        ["trace", "--kind", "Bl", "--rot", "0/1", "--b-min", "1", "--b-max", "2", "--step", "0.1"],
+        ["region", "--lo", "0/1", "--hi", "1/1", "--b-min", "7", "--b-max", "7", "--step", "1"],
+        ["intersect", "--left", "Br:0/1", "--right", "Bl:1/1", "--b-min", "8", "--b-max", "9"],
+        ["audit-lipschitz", "--in", "curve.csv"],
+    ):
+        assert parser.parse_args(argv).q_max == 64, argv
+    assert parser.parse_args(ras + ["--na", "1", "--nb", "1", "--q-max", "7"]).q_max == 7
+
+
 def test_lift_full_report(capsys):
     out = run_json(
         capsys,

@@ -21,8 +21,10 @@ from arnoldtongues import (
     region_boundary,
     render_ppm,
     rho_monotone,
+    snap_rational,
     trace_curve,
 )
+from arnoldtongues.sweep import _BLOCK_ROWS, _snap_grid
 
 TWO_PI = 2.0 * math.pi
 ZERO = Fraction(0, 1)
@@ -82,17 +84,117 @@ def test_raster_matches_scalar_route():
             assert float(g.rho_plus[j, i]) == pytest.approx(hi, abs=tol)
 
 
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+
 def test_raster_worker_invariance(monkeypatch):
     kw = dict(a_min=0.0, a_max=1.0, b_min=0.0, b_max=3.0, na=4, nb=3, n_iter=150)
-    serial = raster(workers=1, **kw)
-    parallel = raster(workers=2, **kw)
-    assert np.array_equal(serial.rho_minus, parallel.rho_minus)
-    assert np.array_equal(serial.rho_plus, parallel.rho_plus)
-    assert render_ppm(serial) == render_ppm(parallel)
+    # more rows than one block holds, split unevenly for one and two workers
+    kw_blocks = dict(kw, b_max=4.0, na=3, nb=_BLOCK_ROWS + 3, n_iter=60)
+    for grid in (kw, kw_blocks):
+        serial = raster(workers=1, **grid)
+        parallel = raster(workers=2, **grid)
+        assert np.array_equal(_bits(serial.rho_minus), _bits(parallel.rho_minus))
+        assert np.array_equal(_bits(serial.rho_plus), _bits(parallel.rho_plus))
+        assert serial.lock_lo == parallel.lock_lo and serial.lock_hi == parallel.lock_hi
+        assert render_ppm(serial) == render_ppm(parallel)
 
     monkeypatch.setenv("ARNOLDTONGUES_WORKERS", "2")
     from_env = raster(workers=None, **kw)
-    assert render_ppm(from_env) == render_ppm(serial)
+    assert render_ppm(from_env) == render_ppm(raster(workers=1, **kw))
+
+
+def test_raster_block_rows_match_single_rows():
+    # rows on both sides of b = 1, one of them exactly at it
+    kw = dict(a_min=-0.4, a_max=1.3, na=7, n_iter=250, workers=1)
+    g = raster(b_min=0.5, b_max=1.5, nb=5, **kw)
+    assert 1.0 in g.bvec.tolist()
+    for j, b in enumerate(g.bvec.tolist()):
+        row = raster(b_min=b, b_max=b, nb=1, **kw)
+        assert row.bvec[0] == b
+        assert np.array_equal(_bits(g.rho_minus[j]), _bits(row.rho_minus[0])), b
+        assert np.array_equal(_bits(g.rho_plus[j]), _bits(row.rho_plus[0])), b
+        assert g.lock_lo[j] == row.lock_lo[0] and g.lock_hi[j] == row.lock_hi[0]
+
+
+def _reference_rho(a, b, which, n_iter):
+    """One cell's estimate iterated in plain math, in the raster's operation order."""
+    coef = b / TWO_PI
+    plus = envelope(Params(0.0, b), PLUS)
+    if plus.plateau_start is not None:
+        if which == PLUS:
+            x = w = plus.plateau_start
+            lo, hi = -math.inf, plus.plateau_end
+        else:
+            x = 1.0 - plus.plateau_start
+            w, lo, hi = x - 1.0, 1.0 - plus.plateau_end, math.inf
+        flat_val = x + coef * math.sin(TWO_PI * x) + a
+    y = wind = 0.0
+    for _ in range(n_iter):
+        if plus.plateau_start is None:
+            y = y + a + coef * math.sin(TWO_PI * y)
+        else:
+            n = math.floor(y - w)
+            t = y - n
+            y = (flat_val if lo <= t <= hi else t + a + coef * math.sin(TWO_PI * t)) + n
+        k = math.floor(y)
+        wind += k
+        y -= k
+    return (y + wind) / n_iter
+
+
+def test_raster_matches_plain_math_bits():
+    n_iter = 200
+    g = raster(0.0, 1.0, 0.0, 2.0, 9, 10, n_iter=n_iter, workers=1)
+    for j, b in enumerate(g.bvec.tolist()):
+        for i, a in enumerate(g.avec.tolist()):
+            assert g.rho_minus[j, i] == _reference_rho(a, b, MINUS, n_iter), (a, b)
+            assert g.rho_plus[j, i] == _reference_rho(a, b, PLUS, n_iter), (a, b)
+
+
+def _assert_snap_grid_matches(values, tol, q_max):
+    values = np.asarray(values, dtype=float).reshape(-1, 1)
+    grid = _snap_grid(values, tol, q_max)
+    for row, got_row in zip(values.tolist(), grid):
+        for v, got in zip(row, got_row):
+            want = snap_rational(v, tol, q_max)
+            assert got == want and type(got) is type(want), (v, tol, q_max, got, want)
+
+
+def test_snap_grid_matches_snap_rational():
+    rng = np.random.default_rng(20)
+    fracs = sorted({Fraction(p, q) for q in range(1, 9) for p in range(-2 * q, 2 * q + 1)})
+    # points exactly or nearly halfway between neighbours of different q
+    halfway = [float((x + y) / 2) for x, y in zip(fracs, fracs[1:])]
+    for tol, q_max in ((2e-3, 32), (0.02, 8), (0.07, 5), (0.3, 3), (0.6, 1)):
+        _assert_snap_grid_matches(rng.uniform(-3.0, 3.0, 200), tol, q_max)
+        near = [float(f) + d for f in fracs for d in rng.uniform(-1.5 * tol, 1.5 * tol, 2)]
+        _assert_snap_grid_matches(near, tol, q_max)
+        _assert_snap_grid_matches(halfway, tol, q_max)
+        _assert_snap_grid_matches(np.arange(-64, 65) / 16.0, tol, q_max)
+
+
+def test_snap_grid_tolerance_edge():
+    tol = 2.0 / 1000
+    inside = [k + s * tol * (1.0 - 1e-9) for k in (-2, 0, 3) for s in (-1, 1)]
+    outside = [k + s * tol * (1.0 + 1e-9) for k in (-2, 0, 3) for s in (-1, 1)]
+    # at distance exactly tol from 0/1: the error must be strictly below tol
+    exactly = [-tol, tol, 1.0 + tol, 1.0 - tol]
+    for values in (inside, outside, exactly):
+        _assert_snap_grid_matches(values, tol, 1)
+    assert all(r is not None for row in _snap_grid(np.array([inside]), tol, 1) for r in row)
+    assert all(r is None for row in _snap_grid(np.array([outside]), tol, 1) for r in row)
+    assert _snap_grid(np.array([[-tol, tol]]), tol, 1) == [[None, None]]
+
+
+def test_render_ppm_colors_every_cell():
+    g = raster(0.0, 1.0, 0.0, 2.5, 17, 9, n_iter=300)
+    assert len({lo.denominator for row in g.lock_lo for lo in row if lo is not None}) > 2
+    px = _pixels(g)
+    for j in range(g.nb):
+        for i in range(g.na):
+            assert tuple(px[g.nb - 1 - j, i]) == _expected_color(g, j, i, Palette())
 
 
 def test_raster_validation():
