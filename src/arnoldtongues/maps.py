@@ -20,7 +20,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import CriticalPointError, RootBracketError
+from .errors import CriticalPointError
 from .solvers import bisect_root
 
 TWO_PI = 2.0 * math.pi
@@ -211,17 +211,14 @@ def envelope(p: Params, which: str) -> MonotoneLift:
         # The upper envelope holds the local maximum value F(x_max) until the
         # rising branch past x_min catches up with it.
         value = eval_lift(p, x_max)
-        try:
-            s = bisect_root(
-                lambda t: eval_lift(p, t) - value,
-                x_min,
-                x_max + 1.0,
-                tol=1e-14,
-            )
-        except RootBracketError:
-            # F(x_min) <= value <= F(x_max + 1) always holds, so the bracket
-            # can only fail through rounding at the endpoints.
-            raise
+        # F(x_min) <= value <= F(x_max + 1) always holds, so the bracket
+        # can only fail (RootBracketError) through rounding at the endpoints.
+        s = bisect_root(
+            lambda t: eval_lift(p, t) - value,
+            x_min,
+            x_max + 1.0,
+            tol=1e-14,
+        )
         return MonotoneLift(
             base=p, which=PLUS, plateau_start=x_max, plateau_end=s, plateau_value=value
         )

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import AmbiguityError, NoOrbitError
 from .maps import Params, critical_points, deriv, eval_lift
-from .rotation import Q_MAX_DEFAULT, Rational
-from .solvers import golden_min
+from .rotation import Q_MAX_DEFAULT, Rational, _iterate
+from .solvers import bisect, golden_min
 
 SUPERATTRACTING = "superattracting"
 ATTRACTING = "attracting"
@@ -80,29 +81,6 @@ def classify_multiplier(m: float) -> str:
     return NEUTRAL_NONPARABOLIC
 
 
-def _closure_values(p: Params, q: int, p_num: int, xs: np.ndarray) -> np.ndarray:
-    """G(x) = F^q(x) - x - p_num on an array of points, winding-reduced."""
-    y = np.array(xs, dtype=float)
-    wind = np.zeros_like(y)
-    for _ in range(q):
-        y = eval_lift(p, y)
-        k = np.floor(y)
-        wind += k
-        y -= k
-    return y + wind - xs - p_num
-
-
-def _closure_scalar(p: Params, q: int, p_num: int, x: float) -> float:
-    y = x
-    wind = 0.0
-    for _ in range(q):
-        y = eval_lift(p, y)
-        k = math.floor(y)
-        wind += k
-        y -= k
-    return y + wind - x - p_num
-
-
 def _closure_deriv(p: Params, q: int, x: float) -> float:
     """(F^q)'(x) - 1, from the chain rule along the forward iterates."""
     y = x
@@ -114,22 +92,7 @@ def _closure_deriv(p: Params, q: int, x: float) -> float:
     return prod - 1.0
 
 
-def _bisect_sign_change(p, q, p_num, lo, hi, glo):
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-12 or mid == lo or mid == hi:
-            break
-        gmid = _closure_scalar(p, q, p_num, mid)
-        if gmid == 0.0:
-            return mid
-        if (gmid > 0.0) == (glo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _newton_polish(p, q, p_num, x):
+def _newton_polish(closure, p, q, x):
     """Two Newton steps on the closure function, skipped near parabolics.
 
     Bisection alone leaves a residual up to |G'| times the bracket width;
@@ -139,7 +102,7 @@ def _newton_polish(p, q, p_num, x):
         d = _closure_deriv(p, q, x)
         if abs(d) < 1e-4:
             break
-        x = x - _closure_scalar(p, q, p_num, x) / d
+        x = x - closure(x) / d
     return x
 
 
@@ -159,20 +122,25 @@ def find_periodic_orbits(
     p_num = r.numerator
     if q > q_max:
         raise ValueError(f"denominator {q} exceeds q_max={q_max}")
+    lift = partial(eval_lift, p)
+
+    def closure(x):
+        """G(x) = F^q(x) - x - p_num, for a float or an array of points."""
+        return _iterate(lift, x, q) - x - p_num
+
     n = SCAN_DENSITY * q
     grid = np.arange(n, dtype=float) / n
-    g = _closure_values(p, q, p_num, grid)
+    g = closure(grid)
     half_cell = 0.5 / n
 
     roots: List[Tuple[float, float]] = []  # (location, |G| there)
     g_next = np.roll(g, -1)
     sign_change = (g * g_next) < 0.0
     for i in np.nonzero(sign_change)[0]:
-        lo = grid[i]
-        hi = grid[i] + 1.0 / n
-        x = _bisect_sign_change(p, q, p_num, lo, hi, g[i])
-        x = _newton_polish(p, q, p_num, x)
-        roots.append((x, abs(_closure_scalar(p, q, p_num, x))))
+        # The bracket is 1/n <= 2**-12 wide, so 28 halvings reach 1e-12.
+        lo, hi = bisect(closure, grid[i], grid[i] + 1.0 / n, g[i], 1e-12)
+        x = _newton_polish(closure, p, q, 0.5 * (lo + hi))
+        roots.append((x, abs(closure(x))))
     for i in np.nonzero(g == 0.0)[0]:
         roots.append((float(grid[i]), 0.0))
 
@@ -186,12 +154,12 @@ def find_periodic_orbits(
             continue
         x0 = grid[i]
         xr = golden_min(
-            lambda t: abs(_closure_scalar(p, q, p_num, t)),
+            lambda t: abs(closure(t)),
             x0 - 1.0 / n,
             x0 + 1.0 / n,
             xtol=1e-12,
         )
-        val = abs(_closure_scalar(p, q, p_num, xr))
+        val = abs(closure(xr))
         if val < CLOSURE_TOL:
             roots.append((xr % 1.0, val))
 

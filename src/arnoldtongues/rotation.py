@@ -5,6 +5,9 @@ here by forward iteration with the classical 1/n error bound and, when
 possible, certified to equal a nearby rational exactly.  A lift with a
 decreasing lap has a whole interval of rotation numbers, bounded by the
 rotation numbers of its two monotone envelopes.
+
+The rotation estimate, the certificate's level function and the orbit
+closure in orbits all iterate through one kernel, _iterate.
 """
 
 from __future__ import annotations
@@ -12,11 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .maps import MINUS, PLUS, MonotoneLift, Params, envelope, eval_lift
+from .maps import MINUS, PLUS, ArrayLike, MonotoneLift, Params, envelope, eval_lift
 from .solvers import golden_min
 
 # Rational values are plain stdlib fractions throughout the package.
@@ -62,29 +65,22 @@ class RotationInterval:
         return self.hi.value - self.lo.value
 
 
-def _iterate(m: MonotoneLift, x0: float, n: int) -> float:
-    """n-fold application of m, reducing mod 1 each step for accuracy.
+def _iterate(f: Callable[[ArrayLike], ArrayLike], x: ArrayLike, n: int) -> ArrayLike:
+    """n-fold application of the lift f (m.eval or a raw lift), mod-1 reduced.
 
     The integer winding is accumulated separately so the trigonometric
-    part is always evaluated on a small argument.
+    part is always evaluated on a small argument.  As in maps.eval_lift, a
+    float x (numpy float64 included) takes math.floor and anything else is
+    iterated as a float array with np.floor.
     """
-    y = x0
-    wind = 0.0
+    if isinstance(x, float):
+        y, floor, wind = x, math.floor, 0.0
+    else:
+        y = np.array(x, dtype=float)
+        floor, wind = np.floor, np.zeros_like(y)
     for _ in range(n):
-        y = m.eval(y)
-        k = math.floor(y)
-        wind += k
-        y -= k
-    return y + wind
-
-
-def _iterate_grid(m: MonotoneLift, x0: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized n-fold application of m with mod-1 reduction."""
-    y = np.array(x0, dtype=float)
-    wind = np.zeros_like(y)
-    for _ in range(n):
-        y = m.eval(y)
-        k = np.floor(y)
+        y = f(y)
+        k = floor(y)
         wind += k
         y -= k
     return y + wind
@@ -132,10 +128,11 @@ def level_sign(m: MonotoneLift, r: Rational, q_max: int = Q_MAX_DEFAULT) -> int:
     q = r.denominator
     n_grid = max(64, 8 * q)
     grid = np.arange(n_grid, dtype=float) / n_grid
-    g = _iterate_grid(m, grid, q) - grid - p_num
+    f = m.eval
+    g = _iterate(f, grid, q) - grid - p_num
 
     def g_at(x: float) -> float:
-        return _iterate(m, x, q) - x - p_num
+        return _iterate(f, x, q) - x - p_num
 
     h = 1.0 / n_grid
     gmin = float(np.min(g))
@@ -197,7 +194,8 @@ def rho_monotone(
     """
     if n_iter < 1:
         raise ValueError(f"n_iter must be >= 1, got {n_iter!r}")
-    value = (_iterate(m, x0, n_iter) - x0) / n_iter
+    # float(x0): an int x0 would otherwise take _iterate's array path.
+    value = (_iterate(m.eval, float(x0), n_iter) - x0) / n_iter
     bound = 1.0 / n_iter
     cert: Optional[Rational] = None
     if q_max > 0:

@@ -7,12 +7,15 @@ artifacts byte-reproducible across runs.  Across platforms the bytes match
 only where numpy's sin and cos round exactly like the C library's math.sin
 and math.cos, because scalar lift evaluations go through math and array
 evaluations through numpy (see maps.eval_lift).
+
+bisect is the package's only bisection loop: plateau ends, orbit roots,
+tongue edges and curve crossings all go through it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Tuple
 
 from .errors import RootBracketError
 
@@ -20,12 +23,44 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
+# A finite bracket is at most 2**1025 wide and floats are at least 2**-1074
+# apart, so mid == lo or mid == hi stops bisect within about 2100 halvings.
+_MAX_HALVINGS = 2200
+
+
+def bisect(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    flo: float,
+    tol: float,
+) -> Tuple[float, float]:
+    """Final bracket of a bisection on a sign change of f over [lo, hi].
+
+    flo is the caller's value of f(lo), nonzero and of the opposite sign to
+    f(hi); f(hi) itself is never evaluated.  Halves until the bracket is no
+    wider than tol or no float lies strictly inside it.  An exact zero of f
+    at a midpoint m returns (m, m).
+    """
+    for _ in range(_MAX_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or mid == lo or mid == hi:
+            break
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid, mid
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def bisect_root(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Root of f on [lo, hi] by bisection.
 
@@ -43,17 +78,7 @@ def bisect_root(
         raise RootBracketError(
             f"no sign change on [{lo!r}, {hi!r}]: f(lo)={flo!r}, f(hi)={fhi!r}"
         )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid == lo or mid == hi:
-            return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
+    lo, hi = bisect(f, lo, hi, flo, tol)
     return 0.5 * (lo + hi)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import (
     BadWindowError,
@@ -32,6 +32,7 @@ from .errors import (
 from .maps import MINUS, PLUS, TWO_PI, Params, critical_points, envelope, eval_lift
 from .orbits import orbit_pair
 from .rotation import Q_MAX_DEFAULT, Rational, level_sign
+from .solvers import bisect
 
 KIND_AL = "Al"
 KIND_AR = "Ar"
@@ -134,38 +135,51 @@ def default_window(b: float, r: Rational) -> Tuple[float, float]:
     return (c - hw, c + hw)
 
 
-def _bisect_edge(
-    sgn: Callable[[float], int],
-    lo: float,
-    hi: float,
-    side: str,
+def _locate_edges(
+    b: float,
+    r: Rational,
+    which: str,
+    sides: Tuple[str, ...],
+    a_window: Tuple[float, float],
     tol: float,
-) -> Tuple[float, float, bool]:
-    """Bisect for one plateau edge inside a validated bracket.
+    q_max: int,
+) -> List[Tuple[float, float, bool]]:
+    """Bisect the named edges ("left", "right") of one plateau of r at this b.
 
-    For the left edge the bracket invariant is sgn(lo) == -1 and
-    sgn(hi) >= 0; for the right edge sgn(lo) <= 0 and sgn(hi) == +1.
-    Returns (edge, final bracket width, whether any probe returned 0).
+    The plateau is where the which-envelope level sign s(a) is 0.  Its left
+    edge is where s rises above -1, its right edge where s rises above 0,
+    so each edge has a cut c and the window must satisfy s(lo) <= c < s(hi),
+    otherwise BadWindowError.  Both ends are probed once for all sides.
+    Returns one (edge, final bracket width, whether any probe returned 0)
+    per side.
     """
-    seen_zero = False
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        s = sgn(mid)
-        if s == 0:
-            seen_zero = True
-        if side == "left":
-            if s >= 0:
-                hi = mid
-            else:
-                lo = mid
-        else:
-            if s <= 0:
-                lo = mid
-            else:
-                hi = mid
-    return 0.5 * (lo + hi), hi - lo, seen_zero
+
+    def sgn(a: float) -> int:
+        return level_sign(envelope(Params(a, b), which), r, q_max=q_max)
+
+    lo_w, hi_w = a_window
+    s_lo = sgn(lo_w)
+    s_hi = sgn(hi_w)
+    cuts = [-1 if side == "left" else 0 for side in sides]
+    if not all(s_lo <= c < s_hi for c in cuts):
+        target = f"{sides[0]} edge of the " if len(sides) == 1 else ""
+        raise BadWindowError(
+            f"window {a_window!r} does not bracket the {target}{which} plateau "
+            f"of {r} at b={b!r}: end signs ({s_lo}, {s_hi})"
+        )
+    edges = []
+    for c in cuts:
+        seen_zero = False
+
+        def above_cut(a: float) -> float:
+            nonlocal seen_zero
+            s = sgn(a)
+            seen_zero = seen_zero or s == 0
+            return 1.0 if s > c else -1.0
+
+        lo, hi = bisect(above_cut, lo_w, hi_w, -1.0, tol)
+        edges.append((0.5 * (lo + hi), hi - lo, seen_zero))
+    return edges
 
 
 def plateau_edges(
@@ -194,18 +208,9 @@ def plateau_edges(
     if not lo_w < hi_w:
         raise BadWindowError(f"empty window {a_window!r}")
 
-    def sgn(a: float) -> int:
-        return level_sign(envelope(Params(a, b), which), r, q_max=q_max)
-
-    s_lo = sgn(lo_w)
-    s_hi = sgn(hi_w)
-    if s_lo != -1 or s_hi != 1:
-        raise BadWindowError(
-            f"window {a_window!r} does not bracket the {which} plateau of "
-            f"{r} at b={b!r}: end signs ({s_lo}, {s_hi})"
-        )
-    a_left, _, zl = _bisect_edge(sgn, lo_w, hi_w, "left", tol)
-    a_right, _, zr = _bisect_edge(sgn, lo_w, hi_w, "right", tol)
+    (a_left, _, zl), (a_right, _, zr) = _locate_edges(
+        b, r, which, ("left", "right"), a_window, tol, q_max
+    )
     if a_right < a_left - tol:
         raise EmptyPlateauError(
             f"edge bisections crossed for {which} plateau of {r} at "
@@ -215,36 +220,6 @@ def plateau_edges(
         mid = 0.5 * (a_left + a_right)
         return (mid, mid)
     return (a_left, a_right)
-
-
-def _one_edge(
-    b: float,
-    r: Rational,
-    kind: str,
-    a_window: Tuple[float, float],
-    tol: float,
-    q_max: int = Q_MAX_DEFAULT,
-) -> Tuple[float, float]:
-    """Locate a single curve kind's edge; returns (a, bracket width)."""
-    which, side = KIND_TO_EDGE[kind]
-
-    def sgn(a: float) -> int:
-        return level_sign(envelope(Params(a, b), which), r, q_max=q_max)
-
-    lo_w, hi_w = a_window
-    s_lo = sgn(lo_w)
-    s_hi = sgn(hi_w)
-    if side == "left":
-        valid = s_lo == -1 and s_hi >= 0
-    else:
-        valid = s_lo <= 0 and s_hi == 1
-    if not valid:
-        raise BadWindowError(
-            f"window {a_window!r} does not bracket the {side} edge of the "
-            f"{which} plateau of {r} at b={b!r}: end signs ({s_lo}, {s_hi})"
-        )
-    a, width, _ = _bisect_edge(sgn, lo_w, hi_w, side, tol)
-    return a, width
 
 
 def trace_curve(
@@ -272,6 +247,7 @@ def trace_curve(
     b_lo, b_hi = b_range
     if not b_lo <= b_hi:
         raise ValueError(f"empty b_range {b_range!r}")
+    which, side = KIND_TO_EDGE[kind]
     n = int(math.floor((b_hi - b_lo) / step + 1e-9))
     hw = 1.25 * step / TWO_PI + 10.0 * tol
     samples: List[Tuple[float, float, float]] = []
@@ -283,7 +259,7 @@ def trace_curve(
         else:
             window = (prev_a - hw, prev_a + hw)
         try:
-            a, width = _one_edge(b, r, kind, window, tol, q_max=q_max)
+            ((a, width, _),) = _locate_edges(b, r, which, (side,), window, tol, q_max)
         except (BadWindowError, EmptyPlateauError) as exc:
             raise ContinuationLostError(
                 f"continuation of {kind} for {r} lost its bracket at "
@@ -337,6 +313,8 @@ def region_boundary(
     if step <= 0.0:
         raise ValueError(f"step must be > 0, got {step!r}")
     b_lo, b_hi = b_range
+    if not b_lo <= b_hi:
+        raise ValueError(f"empty b_range {b_range!r}")
     n = int(math.floor((b_hi - b_lo) / step + 1e-9))
     slices: List[Tuple[float, float, float]] = []
     for i in range(n + 1):
@@ -418,17 +396,21 @@ def intersect_curves(
         )
     if step <= 0.0:
         raise ValueError(f"step must be > 0, got {step!r}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+    b_lo, b_hi = b_window
+    if not b_lo <= b_hi:
+        raise ValueError(f"empty b_window {b_window!r}")
     edge_tol = min(1e-8, tol / 10.0)
 
     def a_of(kind: str, label: Rational, b: float) -> float:
-        return _one_edge(
-            b, label, kind, default_window(b, label), edge_tol, q_max=q_max
-        )[0]
+        which, side = KIND_TO_EDGE[kind]
+        window = default_window(b, label)
+        return _locate_edges(b, label, which, (side,), window, edge_tol, q_max)[0][0]
 
     def gap(b: float) -> float:
         return a_of(left_kind, left_label, b) - a_of(right_kind, right_label, b)
 
-    b_lo, b_hi = b_window
     n = int(math.floor((b_hi - b_lo) / step + 1e-9))
     bs = [b_lo + i * step for i in range(n + 1)]
     if bs[-1] < b_hi - 1e-12:
@@ -468,20 +450,7 @@ def intersect_curves(
             report(bs[i])
             continue
         if g0 * g1 < 0.0:
-            lo, hi = bs[i], bs[i + 1]
-            glo = g0
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break
-                gm = gap(mid)
-                if gm == 0.0:
-                    lo = hi = mid
-                    break
-                if (gm > 0.0) == (glo > 0.0):
-                    lo, glo = mid, gm
-                else:
-                    hi = mid
+            lo, hi = bisect(gap, bs[i], bs[i + 1], g0, tol)
             report(0.5 * (lo + hi))
     if gaps and gaps[-1] == 0.0:
         report(bs[-1])

@@ -94,6 +94,9 @@ def test_usage_error_exit_codes(capsys):
         ras + ["--n-iter", "0"],
         ["edges", "--b", "2", "--rot", "0/1", "--tol", "-1"],
         ras + ["--workers", "-3"],
+        ["intersect", "--left", "Bl:0/1", "--right", "Br:0/1", "--b-min", "3", "--b-max", "1"],
+        ["intersect", "--left", "Bl:0/1", "--right", "Br:0/1"] + base + ["--tol", "-1"],
+        ["region", "--lo", "0", "--hi", "1", "--b-min", "7.2", "--b-max", "6.8", "--step", "0.1"],
     ):
         assert main(argv) == 2, argv
         capsys.readouterr()

@@ -2,14 +2,17 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 from arnoldtongues import (
+    MINUS,
     PLUS,
     Params,
     envelope,
+    eval_lift,
     level_sign,
     rho_bounds_bruteforce,
     rho_exact_rational_test,
@@ -17,6 +20,7 @@ from arnoldtongues import (
     rotation_interval,
     snap_rational,
 )
+from arnoldtongues.rotation import _iterate
 
 TWO_PI = 2.0 * math.pi
 
@@ -203,3 +207,21 @@ def test_bruteforce_two_sided_below_critical_coupling(rng):
         slack = 1.0 / 2000 + ri.lo.error_bound + ri.hi.error_bound
         assert abs(blo - ri.lo.value) <= slack
         assert abs(bhi - ri.hi.value) <= slack
+
+
+def test_iterate_scalar_path_matches_array_path():
+    # The kernel's math.floor path and np.floor path must agree bit for bit,
+    # for the raw lift and for envelopes with a plateau.
+    p = Params(0.27, 2.6)
+    up, down = envelope(p, PLUS), envelope(p, MINUS)
+    ends = [up.plateau_start, up.plateau_end, down.plateau_start, down.plateau_end]
+    xs = np.concatenate([np.linspace(-1.5, 2.5, 37), ends, np.add(ends, 1.0)])
+    maps = [partial(eval_lift, Params(0.1, 0.8)), partial(eval_lift, p), up.eval, down.eval]
+    for f in maps:
+        for n in (1, 3, 40):
+            before = xs.copy()
+            arr = _iterate(f, xs, n)
+            assert np.array_equal(xs, before)
+            scal = [_iterate(f, float(x), n) for x in xs]
+            assert all(type(y) is float for y in scal)
+            assert [y.hex() for y in scal] == [float(y).hex() for y in arr]

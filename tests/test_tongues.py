@@ -154,6 +154,11 @@ def test_region_zero_lock_slice():
     assert a_right == pytest.approx(HALFWIDTH_B05, abs=1e-7)
 
 
+def test_region_rejects_reversed_b_range():
+    with pytest.raises(ValueError, match="empty b_range"):
+        region_boundary((ZERO, ONE), (7.2, 6.8), step=0.1)
+
+
 def test_unit_interval_region_absent_at_low_coupling():
     reg = region_boundary((ZERO, ONE), (0.5, 0.5), step=1.0)
     assert reg.slices == ()
@@ -267,6 +272,11 @@ def test_intersect_validation():
         intersect_curves(("Zl", ZERO), ("Bl", ONE), (1.0, 2.0))
     with pytest.raises(ValueError):
         intersect_curves(("Br", ZERO), ("Bl", ONE), (1.0, 2.0), step=0.0)
+    with pytest.raises(ValueError, match="empty b_window"):
+        intersect_curves(("Bl", ZERO), ("Br", ZERO), (3.0, 1.0))
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            intersect_curves(("Bl", ZERO), ("Br", ZERO), (1.0, 2.0), tol=tol)
 
 
 def test_tongue_order_and_symmetry_at_b2():
