@@ -16,8 +16,8 @@ class CriticalPointError(ArnoldTonguesError):
 class RootBracketError(ArnoldTonguesError):
     """A root that must exist inside a bracket could not be bracketed.
 
-    Raised by the envelope construction when the plateau-closing root is
-    missing.  This signals a solver bug, not a bad input.
+    Raised by maps._plateau, the envelopes' per-b plateau bisection, when
+    the plateau-closing root is missing: a solver bug, not a bad input.
     """
 
 

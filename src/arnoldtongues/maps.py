@@ -9,11 +9,13 @@ the lift is nondecreasing.  For b > 1 it has one decreasing lap per period
 and the monotone upper and lower envelopes acquire a plateau.  Everything
 downstream (rotation numbers, tongue boundaries, sweeps) is built on the
 three things this module provides: pointwise evaluation with derivatives,
-the critical set, and the two monotone envelopes.
+the critical set, and the two monotone envelopes, whose plateau interval
+depends on b alone and is computed once per b.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
@@ -146,10 +148,10 @@ class MonotoneLift:
     """A nondecreasing degree-one lift, possibly with one plateau per period.
 
     For b <= 1 this is the raw lift itself and the plateau fields are None.
-    For b > 1 the upper envelope is constant on [plateau_start, plateau_end]
-    at plateau_value, and the lower envelope is constant on the reflected
-    interval.  Both envelopes still commute with integer translation, so a
-    single plateau description covers the whole line.
+    For b > 1 it is constant at plateau_value on [plateau_start, plateau_end],
+    an interval that depends on b alone; the lower envelope's is the upper
+    one's reflected through x -> 1 - x.  Both envelopes commute with integer
+    translation, so a single plateau description covers the whole line.
     """
 
     base: Params
@@ -193,11 +195,30 @@ class MonotoneLift:
         return val
 
 
+@functools.lru_cache(maxsize=1024)
+def _plateau(b: float) -> Tuple[float, float]:
+    """Upper-envelope plateau [x_max, s] shared by every lift of amplitude b > 1.
+
+    sup over y <= x of F_a(y) is the a = 0 envelope plus a, so the interval
+    depends on b alone: from the local maximum x_max until the rising branch
+    past x_min = 1 - x_max climbs back to F_0(x_max) at s.  That bracket can
+    only fail (RootBracketError) through rounding at its ends.  The last 1024
+    b values are kept; a trace probes each b about twenty times in a row.
+    """
+    p = Params(0.0, b)
+    x_max = critical_points(p).points[0]
+    value = eval_lift(p, x_max)
+    s = bisect_root(lambda t: eval_lift(p, t) - value, 1.0 - x_max, x_max + 1.0, tol=1e-14)
+    return x_max, s
+
+
 def envelope(p: Params, which: str) -> MonotoneLift:
     """Upper ("plus") or lower ("minus") monotone envelope of the lift.
 
     The upper envelope is sup over y <= x of F(y), the lower envelope is
-    inf over y >= x of F(y).  For b <= 1 both coincide with F itself.
+    inf over y >= x of F(y).  For b <= 1 both coincide with F itself.  For
+    b > 1 the plateau interval is _plateau(b), computed once per b; only the
+    plateau value, the lift at the local extremum, depends on a.
     """
     if which not in (PLUS, MINUS):
         raise ValueError(f"which must be {PLUS!r} or {MINUS!r}, got {which!r}")
@@ -205,32 +226,11 @@ def envelope(p: Params, which: str) -> MonotoneLift:
         return MonotoneLift(
             base=p, which=which, plateau_start=None, plateau_end=None, plateau_value=None
         )
-    cs = critical_points(p)
-    x_max, x_min = cs.points
-    if which == PLUS:
-        # The upper envelope holds the local maximum value F(x_max) until the
-        # rising branch past x_min catches up with it.
-        value = eval_lift(p, x_max)
-        # F(x_min) <= value <= F(x_max + 1) always holds, so the bracket
-        # can only fail (RootBracketError) through rounding at the endpoints.
-        s = bisect_root(
-            lambda t: eval_lift(p, t) - value,
-            x_min,
-            x_max + 1.0,
-            tol=1e-14,
-        )
-        return MonotoneLift(
-            base=p, which=PLUS, plateau_start=x_max, plateau_end=s, plateau_value=value
-        )
-    # Lower envelope: holds F(x_min) from the point s' on the rising branch
-    # before x_max where F first reaches that value.
-    value = eval_lift(p, x_min)
-    s_prime = bisect_root(
-        lambda t: eval_lift(p, t) - value,
-        x_min - 1.0,
-        x_max,
-        tol=1e-14,
-    )
+    x_max, s = _plateau(p.b)
+    # F_0(1 - x) = 1 - F_0(x) reflects the upper plateau onto the lower one,
+    # [1 - s, x_min]; s lies in (0.5, 1.5), so 1 - s is exact (Sterbenz).
+    start, end = (x_max, s) if which == PLUS else (1.0 - s, 1.0 - x_max)
+    value = eval_lift(p, start if which == PLUS else end)
     return MonotoneLift(
-        base=p, which=MINUS, plateau_start=s_prime, plateau_end=x_min, plateau_value=value
+        base=p, which=which, plateau_start=start, plateau_end=end, plateau_value=value
     )

@@ -9,6 +9,7 @@ output is byte-identical whatever the worker count.
 from __future__ import annotations
 
 import colorsys
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +19,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .maps import MINUS, PLUS, TWO_PI, Params, envelope
+from .maps import MINUS, PLUS, TWO_PI, Params, _plateau, envelope
 from .rotation import Rational, rho_exact_rational_test
 from .tongues import BoundaryCurve, Region
 
@@ -80,6 +81,21 @@ def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (np.arange(n, dtype=float) + 0.5) * ((hi - lo) / n)
 
 
+def _plateau_rows(bvec: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Window start w, flat bounds lo, hi and extremum x_ext of b > 1 rows.
+
+    Lower-envelope rows come first, then upper ones, as column vectors.  A
+    row folds y into [w, w + 1) and is flat where lo <= t <= hi: on
+    [1 - s, x_min] for the lower envelope and on [x_max, s] for the upper,
+    with (x_max, s) = maps._plateau(b).  The plateau holds the lift's value
+    at x_ext, the local minimum (lower) or maximum (upper).
+    """
+    x_max, s = np.array([_plateau(b) for b in bvec.tolist()]).T[:, :, None]
+    x_min, inf = 1.0 - x_max, np.full_like(s, np.inf)
+    w = np.vstack([x_min - 1.0, x_max])
+    return w, np.vstack([1.0 - s, -inf]), np.vstack([inf, s]), np.vstack([x_min, x_max])
+
+
 def _raster_block(args: Tuple[np.ndarray, np.ndarray, int]) -> Tuple[np.ndarray, np.ndarray]:
     """Endpoint estimates for a block of constant-b rows of cells.
 
@@ -87,15 +103,13 @@ def _raster_block(args: Tuple[np.ndarray, np.ndarray, int]) -> Tuple[np.ndarray,
     carrying the integer winding separately.  Rows with b <= 1 iterate the
     lift itself, which both envelopes equal.  Rows with b > 1 iterate both
     envelopes at once, the lower envelope's rows stacked above the upper's,
-    with each row's plateau geometry as column vectors.  One upper envelope
-    per b gives that geometry: the plateau interval does not depend on a,
-    and the lower plateau is its reflection.  Every cell goes through the
-    same operations in the same order whatever the block it is in.
+    with the plateau geometry of _plateau_rows, the same per-b geometry
+    that maps.envelope reads.  Every cell goes through the same operations
+    in the same order whatever the block it is in.
     """
     bvec, avec, n_iter = args
     coef = (bvec / TWO_PI)[:, None]
-    pluses = [envelope(Params(0.0, float(b)), PLUS) for b in bvec]
-    plain = np.array([m.plateau_start is None for m in pluses])
+    plain = bvec <= 1.0
     rho_minus = np.empty((len(bvec), len(avec)))
     rho_plus = np.empty_like(rho_minus)
 
@@ -111,21 +125,8 @@ def _raster_block(args: Tuple[np.ndarray, np.ndarray, int]) -> Tuple[np.ndarray,
         rho_minus[plain] = rho_plus[plain] = (y + wind) / n_iter
 
     if not plain.all():
-        geo = np.array(
-            [[m.plateau_start, m.plateau_end] for m in pluses if m.plateau_start is not None]
-        )
-        x_max, s = geo[:, :1], geo[:, 1:]
-        x_min = 1.0 - x_max
-        # Each row folds y into its window [w, w + 1) and is flat where
-        # lo <= t <= hi: the final segment [1 - s, w + 1) of the lower
-        # envelope's window, the initial segment [x_max, s] of the upper's.
-        w = np.vstack([x_min - 1.0, x_max])
-        lo = np.vstack([1.0 - s, np.full_like(s, -np.inf)])
-        hi = np.vstack([np.full_like(s, np.inf), s])
+        w, lo, hi, x_ext = _plateau_rows(bvec[~plain])
         c = np.vstack([coef[~plain]] * 2)
-        # The plateau holds the lift's value at the local minimum (lower
-        # envelope) or maximum (upper envelope).
-        x_ext = np.vstack([x_min, x_max])
         sin_ext = np.array([[math.sin(TWO_PI * x)] for x in x_ext[:, 0].tolist()])
         flat_val = x_ext + c * sin_ext + avec
         y = np.zeros((len(c), len(avec)))
@@ -219,6 +220,8 @@ def raster(
         raise ValueError(f"grid must be at least 1x1, got {na}x{nb}")
     if b_min < 0.0:
         raise ValueError(f"b_min must be >= 0, got {b_min!r}")
+    if a_min > a_max or b_min > b_max:
+        raise ValueError(f"reversed range: a {a_min!r}..{a_max!r}, b {b_min!r}..{b_max!r}")
     if n_iter < 1:
         raise ValueError(f"n_iter must be >= 1, got {n_iter!r}")
     if workers is not None and workers < 0:
@@ -241,18 +244,14 @@ def raster(
     locks = _snap_grid(np.vstack([rho_minus, rho_plus]), 2.0 * err, q_max)
     lock_lo, lock_hi = locks[:nb], locks[nb:]
     if certify:
-        for j in range(nb):
-            b = float(bvec[j])
-            for i in range(na):
-                p = Params(float(avec[i]), b)
-                if lock_lo[j][i] is not None and not rho_exact_rational_test(
-                    envelope(p, MINUS), lock_lo[j][i], q_max=max(q_max, 64)
+        for j, i in itertools.product(range(nb), range(na)):
+            p = Params(float(avec[i]), float(bvec[j]))
+            for side, which in ((lock_lo, MINUS), (lock_hi, PLUS)):
+                r = side[j][i]
+                if r is not None and not rho_exact_rational_test(
+                    envelope(p, which), r, q_max=max(q_max, 64)
                 ):
-                    lock_lo[j][i] = None
-                if lock_hi[j][i] is not None and not rho_exact_rational_test(
-                    envelope(p, PLUS), lock_hi[j][i], q_max=max(q_max, 64)
-                ):
-                    lock_hi[j][i] = None
+                    side[j][i] = None
     return RasterGrid(
         a_min=a_min,
         a_max=a_max,

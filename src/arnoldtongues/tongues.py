@@ -260,7 +260,7 @@ def trace_curve(
             window = (prev_a - hw, prev_a + hw)
         try:
             ((a, width, _),) = _locate_edges(b, r, which, (side,), window, tol, q_max)
-        except (BadWindowError, EmptyPlateauError) as exc:
+        except BadWindowError as exc:
             raise ContinuationLostError(
                 f"continuation of {kind} for {r} lost its bracket at "
                 f"b={b!r}: {exc}",

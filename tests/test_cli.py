@@ -87,6 +87,7 @@ def test_usage_error_exit_codes(capsys):
     assert captured.err.startswith("usage error:")
     ras = ["raster", "--a-min", "0", "--a-max", "1", "--b-min", "0", "--b-max", "1"]
     ras += ["--na", "1", "--nb", "1"]
+    rev = ["raster", "--na", "2", "--nb", "2"]
     for argv in (
         ["interval", "--a", "1/0", "--b", "2"],
         ["orbit", "--a", "0.1", "--b", "2", "--rot", "1/0"],
@@ -97,6 +98,8 @@ def test_usage_error_exit_codes(capsys):
         ["intersect", "--left", "Bl:0/1", "--right", "Br:0/1", "--b-min", "3", "--b-max", "1"],
         ["intersect", "--left", "Bl:0/1", "--right", "Br:0/1"] + base + ["--tol", "-1"],
         ["region", "--lo", "0", "--hi", "1", "--b-min", "7.2", "--b-max", "6.8", "--step", "0.1"],
+        rev + ["--a-min", "1", "--a-max", "0", "--b-min", "0", "--b-max", "1"],
+        rev + ["--a-min", "0", "--a-max", "1", "--b-min", "1", "--b-max", "0"],
     ):
         assert main(argv) == 2, argv
         capsys.readouterr()

@@ -17,6 +17,7 @@ from arnoldtongues import (
     eval_lift,
     schwarzian,
 )
+from arnoldtongues import maps
 from arnoldtongues.solvers import bisect_root
 from oracle_values import (
     EVAL_AT_QUARTER,
@@ -80,25 +81,42 @@ def test_eval_scalar_nonfinite_matches_array():
 
 
 def test_plateau_edges_match_array_path_bisection():
-    # The envelope bisects on scalar lift values; redoing that bisection on
-    # one-element arrays must land on the same bits.
+    # The plateau interval is the a = 0 upper envelope's, bisected on scalar
+    # lift values; redoing that bisection on one-element arrays must land on
+    # the same bits.  The lower plateau is its exact reflection, and both
+    # plateau values are the lift at the extremum with a inside.
     for b in (1.05, 2.0, 3.3):
-        p = Params(0.3, b)
+        p, p0 = Params(0.3, b), Params(0.0, b)
         x_max, x_min = critical_points(p).points
 
-        def lift_np(t):
-            return float(eval_lift(p, np.array([t]))[0])
+        def lift_np(q, t):
+            return float(eval_lift(q, np.array([t]))[0])
 
+        v0 = lift_np(p0, x_max)
         up = envelope(p, PLUS)
-        assert up.plateau_value == lift_np(x_max)
+        assert up.plateau_value == lift_np(p, x_max)
         assert up.plateau_end == bisect_root(
-            lambda t: lift_np(t) - up.plateau_value, x_min, x_max + 1.0, tol=1e-14
+            lambda t: lift_np(p0, t) - v0, x_min, x_max + 1.0, tol=1e-14
         )
         down = envelope(p, MINUS)
-        assert down.plateau_value == lift_np(x_min)
-        assert down.plateau_start == bisect_root(
-            lambda t: lift_np(t) - down.plateau_value, x_min - 1.0, x_max, tol=1e-14
-        )
+        assert down.plateau_value == lift_np(p, x_min)
+        assert down.plateau_start == 1.0 - up.plateau_end
+        assert down.plateau_end == x_min
+
+
+def test_envelope_bisects_once_per_b(monkeypatch):
+    calls = []
+
+    def counting_bisect_root(*args, **kwargs):
+        calls.append(args)
+        return bisect_root(*args, **kwargs)
+
+    monkeypatch.setattr(maps, "bisect_root", counting_bisect_root)
+    maps._plateau.cache_clear()
+    for a in np.linspace(-1.0, 1.0, 10).tolist():
+        for which in (PLUS, MINUS):
+            envelope(Params(a, 2.7), which)
+    assert len(calls) == 1
 
 
 def test_degree_one_identity(rng):
@@ -320,13 +338,14 @@ def test_plateau_geometry_at_b2():
 
 
 def test_plateau_interval_ignores_a(rng):
-    base = envelope(Params(0.0, 2.0), PLUS)
-    for _ in range(10):
-        a = float(rng.uniform(-3, 3))
-        m = envelope(Params(a, 2.0), PLUS)
-        assert m.plateau_start == pytest.approx(base.plateau_start, abs=1e-12)
-        assert m.plateau_end == pytest.approx(base.plateau_end, abs=1e-12)
-        assert m.plateau_value == pytest.approx(base.plateau_value + a, abs=1e-12)
+    for which in (PLUS, MINUS):
+        base = envelope(Params(0.0, 2.0), which)
+        for _ in range(10):
+            a = float(rng.uniform(-3, 3))
+            m = envelope(Params(a, 2.0), which)
+            assert m.plateau_start == base.plateau_start
+            assert m.plateau_end == base.plateau_end
+            assert m.plateau_value == pytest.approx(base.plateau_value + a, abs=1e-12)
 
 
 def test_envelope_rejects_unknown_side():

@@ -24,7 +24,7 @@ from arnoldtongues import (
     snap_rational,
     trace_curve,
 )
-from arnoldtongues.sweep import _BLOCK_ROWS, _snap_grid
+from arnoldtongues.sweep import _BLOCK_ROWS, _plateau_rows, _snap_grid
 
 TWO_PI = 2.0 * math.pi
 ZERO = Fraction(0, 1)
@@ -116,6 +116,21 @@ def test_raster_block_rows_match_single_rows():
         assert np.array_equal(_bits(g.rho_minus[j]), _bits(row.rho_minus[0])), b
         assert np.array_equal(_bits(g.rho_plus[j]), _bits(row.rho_plus[0])), b
         assert g.lock_lo[j] == row.lock_lo[0] and g.lock_hi[j] == row.lock_hi[0]
+
+
+def test_raster_reads_the_envelope_plateau_geometry():
+    # The raster's windows and flat bounds and the envelopes' plateau ends
+    # come from one per-b geometry, so they agree bit for bit at every a.
+    bs = [1.05, 2.0, 3.3, 8.18]
+    w, lo, hi, x_ext = (v[:, 0].tolist() for v in _plateau_rows(np.array(bs)))
+    n = len(bs)
+    for j, b in enumerate(bs):
+        for a in (-0.7, 0.0, 0.3, 1.9):
+            down, up = envelope(Params(a, b), MINUS), envelope(Params(a, b), PLUS)
+            assert (lo[j], hi[j]) == (down.plateau_start, math.inf)
+            assert (w[j], x_ext[j]) == (down.plateau_end - 1.0, down.plateau_end)
+            assert (lo[n + j], hi[n + j]) == (-math.inf, up.plateau_end)
+            assert w[n + j] == x_ext[n + j] == up.plateau_start
 
 
 def _reference_rho(a, b, which, n_iter):
