@@ -91,6 +91,8 @@ def snap_rational(value: float, tol: float, q_max: int) -> Optional[Rational]:
 
     Ties between equally close fractions go to the smaller denominator.
     """
+    if not math.isfinite(value):
+        raise ValueError(f"value must be finite, got {value!r}")
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if q_max < 1:
@@ -116,9 +118,10 @@ def level_sign(m: MonotoneLift, r: Rational, q_max: int = Q_MAX_DEFAULT) -> int:
 
     over one period: G < 0 everywhere means the rotation number is below
     p/q, G > 0 everywhere means above, and G attaining both signs or a
-    zero pins it to exactly p/q.  Grid extrema are sharpened by
-    golden-section search before classifying, and values within the zero
-    band TOLZ count as zero.
+    zero pins it to exactly p/q.  The side is decided on the raw grid:
+    a strict sign there leaves only that side able to turn into a touch,
+    so only its grid-local extrema are sharpened by golden-section search.
+    Values within the zero band TOLZ count as zero.
     """
     if r.denominator > q_max:
         raise ValueError(
@@ -130,40 +133,27 @@ def level_sign(m: MonotoneLift, r: Rational, q_max: int = Q_MAX_DEFAULT) -> int:
     grid = np.arange(n_grid, dtype=float) / n_grid
     f = m.eval
     g = _iterate(f, grid, q) - grid - p_num
-
-    def g_at(x: float) -> float:
-        return _iterate(f, x, q) - x - p_num
-
-    h = 1.0 / n_grid
-    gmin = float(np.min(g))
-    gmax = float(np.max(g))
-    if gmin <= TOLZ and gmax >= -TOLZ:
+    # A nan anywhere in g fails both tests, so a nan grid returns 0.
+    if float(np.min(g)) > TOLZ:
+        s = 1
+    elif float(np.max(g)) < -TOLZ:
+        s = -1
+    else:
         # Both signs (or a touch) already visible on the raw grid.
         return 0
-    # Sharpen every grid-local extremum: G is periodic, so compare with
-    # cyclic neighbours.  Narrow dips or bumps between grid points are the
-    # only way the raw grid can misclassify a tangency.
-    left = np.roll(g, 1)
-    right = np.roll(g, -1)
-    if gmin > TOLZ:
-        for i in np.nonzero((g <= left) & (g <= right))[0]:
-            x = grid[i]
-            xr = golden_min(g_at, x - h, x + h)
-            gmin = min(gmin, g_at(xr))
-            if gmin <= TOLZ:
-                break
-    if gmax < -TOLZ:
-        for i in np.nonzero((g >= left) & (g >= right))[0]:
-            x = grid[i]
-            xr = golden_min(lambda t: -g_at(t), x - h, x + h)
-            gmax = max(gmax, g_at(xr))
-            if gmax >= -TOLZ:
-                break
-    if gmax < -TOLZ:
-        return -1
-    if gmin > TOLZ:
-        return 1
-    return 0
+
+    def sg_at(x: float) -> float:
+        return s * (_iterate(f, x, q) - x - p_num)
+
+    # Sharpen every grid-local minimum of s*G: G is periodic, so compare
+    # with cyclic neighbours.  Narrow dips between grid points are the only
+    # way the raw grid can misclassify a tangency.
+    sg = s * g
+    h = 1.0 / n_grid
+    for x in grid[(sg <= np.roll(sg, 1)) & (sg <= np.roll(sg, -1))]:
+        if sg_at(golden_min(sg_at, x - h, x + h)) <= TOLZ:
+            return 0
+    return s
 
 
 def rho_exact_rational_test(
@@ -194,6 +184,8 @@ def rho_monotone(
     """
     if n_iter < 1:
         raise ValueError(f"n_iter must be >= 1, got {n_iter!r}")
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0!r}")
     # float(x0): an int x0 would otherwise take _iterate's array path.
     value = (_iterate(m.eval, float(x0), n_iter) - x0) / n_iter
     bound = 1.0 / n_iter

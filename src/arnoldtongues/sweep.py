@@ -220,6 +220,8 @@ def raster(
         raise ValueError(f"grid must be at least 1x1, got {na}x{nb}")
     if b_min < 0.0:
         raise ValueError(f"b_min must be >= 0, got {b_min!r}")
+    if not all(map(math.isfinite, (a_min, a_max, b_min, b_max))):
+        raise ValueError(f"non-finite range: a {a_min!r}..{a_max!r}, b {b_min!r}..{b_max!r}")
     if a_min > a_max or b_min > b_max:
         raise ValueError(f"reversed range: a {a_min!r}..{a_max!r}, b {b_min!r}..{b_max!r}")
     if n_iter < 1:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import (
     BadWindowError,
@@ -135,6 +135,22 @@ def default_window(b: float, r: Rational) -> Tuple[float, float]:
     return (c - hw, c + hw)
 
 
+def _b_samples(
+    b_range: Tuple[float, float], step: float, name: str = "b_range"
+) -> Iterator[float]:
+    """Lazy b grid b_lo + i*step of the scans; the arguments are checked at the call.
+
+    The 1e-9 of a step keeps b_hi when it is a multiple of step up to rounding.
+    """
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be > 0 and finite, got {step!r}")
+    b_lo, b_hi = b_range
+    if not b_lo <= b_hi:
+        raise ValueError(f"empty {name} {b_range!r}")
+    n = int(math.floor((b_hi - b_lo) / step + 1e-9))
+    return (b_lo + i * step for i in range(n + 1))
+
+
 def _locate_edges(
     b: float,
     r: Rational,
@@ -239,21 +255,14 @@ def trace_curve(
     """
     if kind not in KIND_TO_EDGE:
         raise ValueError(f"unknown curve kind {kind!r}")
-    if step <= 0.0:
-        raise ValueError(f"step must be > 0, got {step!r}")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
     r = Rational(r)
-    b_lo, b_hi = b_range
-    if not b_lo <= b_hi:
-        raise ValueError(f"empty b_range {b_range!r}")
     which, side = KIND_TO_EDGE[kind]
-    n = int(math.floor((b_hi - b_lo) / step + 1e-9))
     hw = 1.25 * step / TWO_PI + 10.0 * tol
     samples: List[Tuple[float, float, float]] = []
     prev_a: Optional[float] = None
-    for i in range(n + 1):
-        b = b_lo + i * step
+    for b in _b_samples(b_range, step):
         if prev_a is None:
             window = default_window(b, r)
         else:
@@ -310,15 +319,8 @@ def region_boundary(
         raise ValueError(
             f"interval labels out of order: {lo_label} > {hi_label}"
         )
-    if step <= 0.0:
-        raise ValueError(f"step must be > 0, got {step!r}")
-    b_lo, b_hi = b_range
-    if not b_lo <= b_hi:
-        raise ValueError(f"empty b_range {b_range!r}")
-    n = int(math.floor((b_hi - b_lo) / step + 1e-9))
     slices: List[Tuple[float, float, float]] = []
-    for i in range(n + 1):
-        b = b_lo + i * step
+    for b in _b_samples(b_range, step):
         minus_l, minus_r = plateau_edges(
             b, lo_label, MINUS, tol=tol, q_max=q_max
         )
@@ -394,13 +396,11 @@ def intersect_curves(
         raise ValueError(
             f"curve labels out of order: right {right_label} < left {left_label}"
         )
-    if step <= 0.0:
-        raise ValueError(f"step must be > 0, got {step!r}")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
-    b_lo, b_hi = b_window
-    if not b_lo <= b_hi:
-        raise ValueError(f"empty b_window {b_window!r}")
+    bs = list(_b_samples(b_window, step, "b_window"))
+    if bs[-1] < b_window[1] - 1e-12:
+        bs.append(b_window[1])
     edge_tol = min(1e-8, tol / 10.0)
 
     def a_of(kind: str, label: Rational, b: float) -> float:
@@ -411,10 +411,6 @@ def intersect_curves(
     def gap(b: float) -> float:
         return a_of(left_kind, left_label, b) - a_of(right_kind, right_label, b)
 
-    n = int(math.floor((b_hi - b_lo) / step + 1e-9))
-    bs = [b_lo + i * step for i in range(n + 1)]
-    if bs[-1] < b_hi - 1e-12:
-        bs.append(b_hi)
     gaps = [gap(b) for b in bs]
 
     found: List[IntersectionPoint] = []

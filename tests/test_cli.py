@@ -100,6 +100,12 @@ def test_usage_error_exit_codes(capsys):
         ["region", "--lo", "0", "--hi", "1", "--b-min", "7.2", "--b-max", "6.8", "--step", "0.1"],
         rev + ["--a-min", "1", "--a-max", "0", "--b-min", "0", "--b-max", "1"],
         rev + ["--a-min", "0", "--a-max", "1", "--b-min", "1", "--b-max", "0"],
+        rev + ["--a-min", "nan", "--a-max", "1", "--b-min", "0", "--b-max", "1"],
+        rev + ["--a-min", "0", "--a-max", "inf", "--b-min", "0", "--b-max", "1"],
+        ["snap", "--value", "inf", "--tol", "0.1"],
+        ["snap", "--value", "nan", "--tol", "0.1"],
+        ["rho", "--a", "0.1", "--b", "2", "--x0", "inf"],
+        ["trace", "--kind", "Bl", "--rot", "0/1", "--b-min", "1", "--b-max", "2", "--step", "inf"],
     ):
         assert main(argv) == 2, argv
         capsys.readouterr()

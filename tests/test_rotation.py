@@ -14,13 +14,16 @@ from arnoldtongues import (
     envelope,
     eval_lift,
     level_sign,
+    plateau_edges,
     rho_bounds_bruteforce,
     rho_exact_rational_test,
     rho_monotone,
     rotation_interval,
     snap_rational,
 )
-from arnoldtongues.rotation import _iterate
+from arnoldtongues import rotation
+from arnoldtongues.rotation import TOLZ, _iterate
+from arnoldtongues.solvers import golden_min
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,6 +64,9 @@ def test_rho_validation():
     m = envelope(Params(0.1, 0.5), PLUS)
     with pytest.raises(ValueError):
         rho_monotone(m, n_iter=0)
+    for x0 in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            rho_monotone(m, x0=x0)
 
 
 def test_certificate_examples():
@@ -76,6 +82,32 @@ def test_level_sign_three_states():
     assert level_sign(m, Fraction(1, 1)) == -1
     tangent = envelope(Params(0.5 / TWO_PI, 0.5), PLUS)
     assert level_sign(tangent, Fraction(0, 1)) == 0
+
+
+def test_level_sign_sharpens_either_raw_sign(monkeypatch):
+    # Just inside each edge of the 1/3 plateaus at b = 2, the 64-point raw
+    # grid of G = m^3 - id - 1 still has a strict sign (- at left edges, +
+    # at right edges) and only golden-section sharpening finds the touch.
+    third, b = Fraction(1, 3), 2.0
+    calls = []
+
+    def counting_golden_min(*args, **kwargs):
+        calls.append(args)
+        return golden_min(*args, **kwargs)
+
+    monkeypatch.setattr(rotation, "golden_min", counting_golden_min)
+    grid = np.arange(64, dtype=float) / 64
+    for which in (MINUS, PLUS):
+        left, right = plateau_edges(b, third, which, tol=1e-12)
+        for edge, raw in ((left, -1), (right, 1)):
+            inside = envelope(Params(edge - raw * 1e-11, b), which)
+            g = _iterate(inside.eval, grid, 3) - grid - 1
+            assert np.all(raw * g > TOLZ)
+            calls.clear()
+            assert level_sign(inside, third) == 0
+            assert calls
+            outside = envelope(Params(edge + raw * 1e-11, b), which)
+            assert level_sign(outside, third) == raw
 
 
 def test_level_sign_rejects_large_denominator():
@@ -98,6 +130,9 @@ def test_snap_validation():
         snap_rational(0.5, 0.0, 10)
     with pytest.raises(ValueError):
         snap_rational(0.5, 1e-3, 0)
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="value must be finite"):
+            snap_rational(value, 0.1, 10)
 
 
 def test_interval_below_critical_coupling_is_a_point():

@@ -94,8 +94,9 @@ def test_upper_edge_below_critical_coupling():
 def test_trace_validation():
     with pytest.raises(ValueError):
         trace_curve("Zl", ZERO, (1.0, 2.0), step=0.1)
-    with pytest.raises(ValueError):
-        trace_curve("Al", ZERO, (1.0, 2.0), step=0.0)
+    for step in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="step must be > 0"):
+            trace_curve("Al", ZERO, (1.0, 2.0), step=step)
     with pytest.raises(ValueError):
         trace_curve("Al", ZERO, (2.0, 1.0), step=0.1)
 
@@ -270,8 +271,9 @@ def test_intersect_validation():
         intersect_curves(("Bl", ONE), ("Br", ZERO), (1.0, 2.0))
     with pytest.raises(ValueError):
         intersect_curves(("Zl", ZERO), ("Bl", ONE), (1.0, 2.0))
-    with pytest.raises(ValueError):
-        intersect_curves(("Br", ZERO), ("Bl", ONE), (1.0, 2.0), step=0.0)
+    for step in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="step must be > 0"):
+            intersect_curves(("Br", ZERO), ("Bl", ONE), (1.0, 2.0), step=step)
     with pytest.raises(ValueError, match="empty b_window"):
         intersect_curves(("Bl", ZERO), ("Br", ZERO), (3.0, 1.0))
     for tol in (0.0, -1.0):
