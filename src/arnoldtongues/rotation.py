@@ -93,7 +93,7 @@ def snap_rational(value: float, tol: float, q_max: int) -> Optional[Rational]:
     """
     if not math.isfinite(value):
         raise ValueError(f"value must be finite, got {value!r}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max!r}")
@@ -188,6 +188,8 @@ def rho_monotone(
         raise ValueError(f"x0 must be finite, got {x0!r}")
     # float(x0): an int x0 would otherwise take _iterate's array path.
     value = (_iterate(m.eval, float(x0), n_iter) - x0) / n_iter
+    if not math.isfinite(value):
+        raise ValueError(f"rotation estimate overflowed: offset a = {m.base.a!r} is too large")
     bound = 1.0 / n_iter
     cert: Optional[Rational] = None
     if q_max > 0:

@@ -2,8 +2,12 @@
 
 The raster samples rotation-interval endpoints at cell centers, snaps
 them to small-denominator rationals, and can be drawn as a binary PPM or
-dumped as CSV.  Cells are pure functions of their center coordinates, so
-output is byte-identical whatever the worker count.
+dumped as CSV.  Its rows iterate through rotation._iterate, the package's
+one winding-reduced kernel.  Cells are pure functions of their center
+coordinates, so output is byte-identical whatever the worker count.
+
+Each CSV artifact (raster, curve, region) has one schema, a header and a
+row template, which its writer and its loader share.
 """
 
 from __future__ import annotations
@@ -15,12 +19,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .maps import MINUS, PLUS, TWO_PI, Params, _plateau, envelope
-from .rotation import Rational, rho_exact_rational_test
+from .rotation import Rational, _iterate, rho_exact_rational_test
 from .tongues import BoundaryCurve, Region
 
 WORKERS_ENV = "ARNOLDTONGUES_WORKERS"
@@ -99,51 +103,43 @@ def _plateau_rows(bvec: np.ndarray) -> Tuple[np.ndarray, ...]:
 def _raster_block(args: Tuple[np.ndarray, np.ndarray, int]) -> Tuple[np.ndarray, np.ndarray]:
     """Endpoint estimates for a block of constant-b rows of cells.
 
-    The block is iterated as one array, a row per b and a column per a,
-    carrying the integer winding separately.  Rows with b <= 1 iterate the
-    lift itself, which both envelopes equal.  Rows with b > 1 iterate both
-    envelopes at once, the lower envelope's rows stacked above the upper's,
-    with the plateau geometry of _plateau_rows, the same per-b geometry
-    that maps.envelope reads.  Every cell goes through the same operations
-    in the same order whatever the block it is in.
+    The block is iterated as one array by rotation._iterate, a row per b
+    and a column per a.  Rows with b <= 1 step the lift itself, which both
+    envelopes equal.  Rows with b > 1 step both envelopes at once, the
+    lower envelope's rows stacked above the upper's, with the plateau
+    geometry of _plateau_rows, the same per-b geometry that maps.envelope
+    reads.  Every cell goes through the same operations in the same order
+    whatever the block it is in.
     """
     bvec, avec, n_iter = args
     coef = (bvec / TWO_PI)[:, None]
     plain = bvec <= 1.0
-    rho_minus = np.empty((len(bvec), len(avec)))
-    rho_plus = np.empty_like(rho_minus)
+    rho_minus, rho_plus = np.empty((2, len(bvec), len(avec)))
+
+    def rho(step: Callable[[np.ndarray], np.ndarray], c: np.ndarray) -> np.ndarray:
+        # The estimates of the rows whose coefficients b / 2 pi are c.
+        return _iterate(step, np.zeros((len(c), len(avec))), n_iter) / n_iter
 
     if plain.any():
         c = coef[plain]
-        y = np.zeros((len(c), len(avec)))
-        wind = np.zeros_like(y)
-        for _ in range(n_iter):
-            y = y + avec + c * np.sin(TWO_PI * y)
-            k = np.floor(y)
-            wind += k
-            y -= k
-        rho_minus[plain] = rho_plus[plain] = (y + wind) / n_iter
+        rho_minus[plain] = rho_plus[plain] = rho(lambda y: y + avec + c * np.sin(TWO_PI * y), c)
 
     if not plain.all():
         w, lo, hi, x_ext = _plateau_rows(bvec[~plain])
         c = np.vstack([coef[~plain]] * 2)
         sin_ext = np.array([[math.sin(TWO_PI * x)] for x in x_ext[:, 0].tolist()])
         flat_val = x_ext + c * sin_ext + avec
-        y = np.zeros((len(c), len(avec)))
-        wind = np.zeros_like(y)
-        for _ in range(n_iter):
+
+        def fold(y: np.ndarray) -> np.ndarray:
             n = np.floor(y - w)
             t = y - n
             flat = (t >= lo) & (t <= hi)
             # sin only off the plateau; np.where drops the other cells.
             arg = TWO_PI * t
             np.sin(arg, out=arg, where=~flat)
-            y = np.where(flat, flat_val, t + avec + c * arg) + n
-            k = np.floor(y)
-            wind += k
-            y -= k
-        rho = (y + wind) / n_iter
-        rho_minus[~plain], rho_plus[~plain] = np.split(rho, 2)
+            return np.where(flat, flat_val, t + avec + c * arg) + n
+
+        rho_minus[~plain], rho_plus[~plain] = np.split(rho(fold, c), 2)
     return rho_minus, rho_plus
 
 
@@ -287,86 +283,67 @@ def render_ppm(g: RasterGrid, palette: Optional[Palette] = None) -> bytes:
     return header + bytes(payload)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+class _Csv(NamedTuple):
+    header: str  # the first line of the file
+    row: str  # the str.format template of every further line
 
 
-def _raster_csv_lines(g: RasterGrid) -> List[str]:
-    lines = ["a,b,rho_minus,rho_plus,err,lock_lo_p,lock_lo_q,lock_hi_p,lock_hi_q"]
+_RASTER_CSV = _Csv(
+    "a,b,rho_minus,rho_plus,err,lock_lo_p,lock_lo_q,lock_hi_p,lock_hi_q",
+    "{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{},{},{},{}\n",
+)
+_CURVE_CSV = _Csv("b,a,kind,p,q,residual", "{:.17g},{:.17g},{},{},{},{:.17g}\n")
+_REGION_CSV = _Csv("b,a_left,a_right", "{:.17g},{:.17g},{:.17g}\n")
+
+
+def _lock_fields(r: Optional[Rational]) -> Tuple:
+    return ("", "") if r is None else (r.numerator, r.denominator)
+
+
+def _raster_rows(g: RasterGrid) -> Iterable[Tuple]:
+    """Cell fields, top row (b_max) first, a ascending within a row."""
+    avec = g.avec.tolist()
     for j in range(g.nb - 1, -1, -1):
         b = float(g.bvec[j])
-        for i in range(g.na):
-            lo = g.lock_lo[j][i]
-            hi = g.lock_hi[j][i]
-            lo_p, lo_q = (str(lo.numerator), str(lo.denominator)) if lo is not None else ("", "")
-            hi_p, hi_q = (str(hi.numerator), str(hi.denominator)) if hi is not None else ("", "")
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(float(g.avec[i])),
-                        _fmt(b),
-                        _fmt(float(g.rho_minus[j, i])),
-                        _fmt(float(g.rho_plus[j, i])),
-                        _fmt(g.err),
-                        lo_p,
-                        lo_q,
-                        hi_p,
-                        hi_q,
-                    ]
-                )
-            )
-    return lines
-
-
-def _curve_csv_lines(c: BoundaryCurve) -> List[str]:
-    lines = ["b,a,kind,p,q,residual"]
-    for b, a, res in c.samples:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(b),
-                    _fmt(a),
-                    c.kind,
-                    str(c.label.numerator),
-                    str(c.label.denominator),
-                    _fmt(res),
-                ]
-            )
-        )
-    return lines
-
-
-def _region_csv_lines(r: Region) -> List[str]:
-    lines = ["b,a_left,a_right"]
-    for b, a_left, a_right in r.slices:
-        lines.append(",".join([_fmt(b), _fmt(a_left), _fmt(a_right)]))
-    return lines
+        rho = zip(g.rho_minus[j].tolist(), g.rho_plus[j].tolist())
+        for a, (lo, hi), lock_lo, lock_hi in zip(avec, rho, g.lock_lo[j], g.lock_hi[j]):
+            yield (a, b, lo, hi, g.err, *_lock_fields(lock_lo), *_lock_fields(lock_hi))
 
 
 def export_csv(obj: Union[RasterGrid, BoundaryCurve, Region], path: str) -> None:
     """Write the object's canonical CSV form (deterministic bytes)."""
     if isinstance(obj, RasterGrid):
-        lines = _raster_csv_lines(obj)
+        schema, rows = _RASTER_CSV, _raster_rows(obj)
     elif isinstance(obj, BoundaryCurve):
-        lines = _curve_csv_lines(obj)
+        label = (obj.kind, obj.label.numerator, obj.label.denominator)
+        schema, rows = _CURVE_CSV, ((b, a, *label, res) for b, a, res in obj.samples)
     elif isinstance(obj, Region):
-        lines = _region_csv_lines(obj)
+        schema, rows = _REGION_CSV, obj.slices
     else:
         raise TypeError(f"cannot export {type(obj).__name__} as CSV")
+    text = schema.header + "\n" + "".join(schema.row.format(*row) for row in rows)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(text)
 
 
-def _split_rows(path: str, expected_header: str) -> List[List[str]]:
+def _split_rows(path: str, schema: _Csv) -> List[List[str]]:
+    """Fields of each nonblank line after the header, which must be schema's."""
     with open(path, "r", encoding="ascii") as fh:
-        content = fh.read()
-    lines = content.splitlines()
-    if not lines or lines[0] != expected_header:
-        raise ValueError(
-            f"{path}: expected header {expected_header!r}, got {lines[0] if lines else 'empty file'!r}"
-        )
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != schema.header:
+        got = lines[0] if lines else "empty file"
+        raise ValueError(f"{path}: expected header {schema.header!r}, got {got!r}")
+    width = schema.header.count(",") + 1
+    for n, line in enumerate(lines[1:], 2):
+        if line and line.count(",") + 1 != width:
+            raise ValueError(f"{path}, line {n}: {line.count(',') + 1} fields, expected {width}")
     return [line.split(",") for line in lines[1:] if line]
+
+
+def _fraction(path: str, p: str, q: str) -> Rational:
+    if int(q) == 0:
+        raise ValueError(f"{path}: zero denominator in {p}/{q}")
+    return Fraction(int(p), int(q))
 
 
 def load_curve_csv(path: str) -> BoundaryCurve:
@@ -376,19 +353,15 @@ def load_curve_csv(path: str) -> BoundaryCurve:
     largest residual and the median b spacing, which is what the
     Lipschitz audit needs.
     """
-    rows = _split_rows(path, "b,a,kind,p,q,residual")
+    rows = _split_rows(path, _CURVE_CSV)
     if not rows:
         raise ValueError(f"{path}: curve file has no samples")
     samples = tuple((float(r[0]), float(r[1]), float(r[5])) for r in rows)
-    kind = rows[0][2]
-    label = Fraction(int(rows[0][3]), int(rows[0][4]))
+    label = _fraction(path, rows[0][3], rows[0][4])
     tol = max(max(s[2] for s in samples), 1e-12)
-    if len(samples) > 1:
-        steps = sorted(b1 - b0 for (b0, _, _), (b1, _, _) in zip(samples, samples[1:]))
-        step = steps[len(steps) // 2]
-    else:
-        step = 1.0
-    return BoundaryCurve(kind=kind, label=label, samples=samples, tol=tol, step=step)
+    steps = sorted(b1 - b0 for (b0, _, _), (b1, _, _) in zip(samples, samples[1:])) or [1.0]
+    step = steps[len(steps) // 2]
+    return BoundaryCurve(kind=rows[0][2], label=label, samples=samples, tol=tol, step=step)
 
 
 def load_region_csv(path: str) -> Region:
@@ -397,8 +370,7 @@ def load_region_csv(path: str) -> Region:
     The interval label is not stored in the file, so the loaded object
     carries the placeholder (0, 0) label.
     """
-    rows = _split_rows(path, "b,a_left,a_right")
-    slices = tuple((float(r[0]), float(r[1]), float(r[2])) for r in rows)
+    slices = tuple(tuple(map(float, row)) for row in _split_rows(path, _REGION_CSV))
     return Region(interval_label=(Fraction(0), Fraction(0)), slices=slices)
 
 
@@ -409,35 +381,25 @@ def load_raster_csv(path: str) -> RasterGrid:
     bounds are inferred from the center spacing (exact centers are what
     re-export uses, so export -> load -> export is byte-stable).
     """
-    rows = _split_rows(
-        path, "a,b,rho_minus,rho_plus,err,lock_lo_p,lock_lo_q,lock_hi_p,lock_hi_q"
-    )
+    rows = _split_rows(path, _RASTER_CSV)
     if not rows:
         raise ValueError(f"{path}: raster file has no cells")
     na = 1
-    first_b = rows[0][1]
-    while na < len(rows) and rows[na][1] == first_b:
+    while na < len(rows) and rows[na][1] == rows[0][1]:
         na += 1
     if len(rows) % na != 0:
         raise ValueError(f"{path}: ragged raster ({len(rows)} cells, row width {na})")
     nb = len(rows) // na
-    avec = np.array([float(r[0]) for r in rows[:na]])
-    b_desc = [float(rows[j * na][1]) for j in range(nb)]
-    bvec = np.array(b_desc[::-1])
-    err = float(rows[0][4])
-    rho_minus = np.empty((nb, na))
-    rho_plus = np.empty((nb, na))
-    lock_lo: List[List[Optional[Rational]]] = [[None] * na for _ in range(nb)]
-    lock_hi: List[List[Optional[Rational]]] = [[None] * na for _ in range(nb)]
-    for idx, r in enumerate(rows):
-        j_desc, i = divmod(idx, na)
-        j = nb - 1 - j_desc
-        rho_minus[j, i] = float(r[2])
-        rho_plus[j, i] = float(r[3])
-        if r[5] != "":
-            lock_lo[j][i] = Fraction(int(r[5]), int(r[6]))
-        if r[7] != "":
-            lock_hi[j][i] = Fraction(int(r[7]), int(r[8]))
+    # One float array of the a, b, rho_minus and rho_plus fields.  The file
+    # lists rows from b_max down, so flip them to b ascending; avec is its first.
+    cells = np.array([[float(x) for x in r[:4]] for r in rows]).reshape(nb, na, 4)[::-1]
+    a, b, rho_minus, rho_plus = np.moveaxis(cells, 2, 0).copy()
+    avec, bvec = a[-1], b[:, 0].copy()
+
+    def locks(k: int) -> List[List[Optional[Rational]]]:
+        flat = [None if r[k] == "" else _fraction(path, r[k], r[k + 1]) for r in rows]
+        return [flat[j * na : (j + 1) * na] for j in range(nb - 1, -1, -1)]
+
     da = (avec[1] - avec[0]) if na > 1 else 1.0
     db = (bvec[1] - bvec[0]) if nb > 1 else 1.0
     return RasterGrid(
@@ -451,7 +413,7 @@ def load_raster_csv(path: str) -> RasterGrid:
         bvec=bvec,
         rho_minus=rho_minus,
         rho_plus=rho_plus,
-        err=err,
-        lock_lo=lock_lo,
-        lock_hi=lock_hi,
+        err=float(rows[0][4]),
+        lock_lo=locks(5),
+        lock_hi=locks(7),
     )

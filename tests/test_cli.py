@@ -73,7 +73,7 @@ def test_edges_closed_form(capsys):
     assert again["a_right"] == out["a_right"]
 
 
-def test_usage_error_exit_codes(capsys):
+def test_usage_error_exit_codes(capsys, tmp_path):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
     assert main(["edges", "--rot", "0/1"]) == 2
@@ -88,6 +88,10 @@ def test_usage_error_exit_codes(capsys):
     ras = ["raster", "--a-min", "0", "--a-max", "1", "--b-min", "0", "--b-max", "1"]
     ras += ["--na", "1", "--nb", "1"]
     rev = ["raster", "--na", "2", "--nb", "2"]
+    header = "b,a,kind,p,q,residual\n"
+    short, zero_q = tmp_path / "short.csv", tmp_path / "zero_q.csv"
+    short.write_text(header + "1.1,0.1,Bl,0,1,1e-9\n1.2,0.2\n", encoding="ascii")
+    zero_q.write_text(header + "1.1,0.1,Bl,0,0,1e-9\n1.2,0.2,Bl,0,0,1e-9\n", encoding="ascii")
     for argv in (
         ["interval", "--a", "1/0", "--b", "2"],
         ["orbit", "--a", "0.1", "--b", "2", "--rot", "1/0"],
@@ -106,9 +110,26 @@ def test_usage_error_exit_codes(capsys):
         ["snap", "--value", "nan", "--tol", "0.1"],
         ["rho", "--a", "0.1", "--b", "2", "--x0", "inf"],
         ["trace", "--kind", "Bl", "--rot", "0/1", "--b-min", "1", "--b-max", "2", "--step", "inf"],
+        ["snap", "--value", "0.5", "--tol", "nan"],
+        ["rho", "--a", "1e308", "--b", "2"],
+        ["audit-lipschitz", "--in", str(short)],
+        ["audit-lipschitz", "--in", str(zero_q)],
     ):
         assert main(argv) == 2, argv
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith("usage"), argv
+
+
+def test_file_errors_are_usage_errors(capsys, tmp_path):
+    missing = tmp_path / "missing.csv"
+    unwritable = str(tmp_path / "no" / "such" / "dir" / "x.csv")
+    trace = ["trace", "--kind", "Bl", "--rot", "0/1", "--b-min", "1.1", "--b-max", "1.2"]
+    for argv in (
+        ["audit-lipschitz", "--in", str(missing)],
+        trace + ["--step", "0.05", "--csv", unwritable],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "No such file or directory" in err, argv
 
 
 def test_q_max_default_per_subcommand(capsys):

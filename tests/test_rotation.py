@@ -67,6 +67,10 @@ def test_rho_validation():
     for x0 in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="x0 must be finite"):
             rho_monotone(m, x0=x0)
+    # a finite offset so large that the winding overflows to inf
+    for b in (0.5, 2.0):
+        with pytest.raises(ValueError, match="offset a = 1e\\+308"):
+            rho_monotone(envelope(Params(1e308, b), PLUS))
 
 
 def test_certificate_examples():
@@ -126,8 +130,9 @@ def test_snap_basics():
 
 
 def test_snap_validation():
-    with pytest.raises(ValueError):
-        snap_rational(0.5, 0.0, 10)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            snap_rational(0.5, tol, 10)
     with pytest.raises(ValueError):
         snap_rational(0.5, 1e-3, 0)
     for value in (math.inf, -math.inf, math.nan):

@@ -9,6 +9,7 @@ import pytest
 from arnoldtongues import (
     MINUS,
     PLUS,
+    BoundaryCurve,
     Palette,
     Params,
     Region,
@@ -309,6 +310,54 @@ def test_region_csv_roundtrip(tmp_path):
     assert loaded.slices == reg.slices
 
 
+# export_csv text recorded before the CSV writers moved to row templates.
+_PINNED_RASTER_CSV = (
+    "a,b,rho_minus,rho_plus,err,lock_lo_p,lock_lo_q,lock_hi_p,lock_hi_q\n"
+    "-0.050000000000000003,1.2,-0.0028117834830728395,-0.0026882165169271597,"
+    "0.0050000000000000001,0,1,0,1\n"
+    "0.14999999999999999,1.2,0.0032188544238336381,0.00331178348307284,"
+    "0.0050000000000000001,0,1,0,1\n"
+    "0.34999999999999998,1.2,0.33418821651692715,0.33431178348307283,"
+    "0.0050000000000000001,1,3,1,3\n"
+    "-0.050000000000000003,0.79999999999999993,-0.0028211465102451505,-0.0028211465102451505,"
+    "0.0050000000000000001,0,1,0,1\n"
+    "0.14999999999999999,0.79999999999999993,0.083041256904109156,0.083041256904109156,"
+    "0.0050000000000000001,,,,\n"
+    "0.34999999999999998,0.79999999999999993,0.33429210108600932,0.33429210108600932,"
+    "0.0050000000000000001,1,3,1,3\n"
+)
+_PINNED_CURVE_CSV = (
+    "b,a,kind,p,q,residual\n"
+    "1.1000000000000001,-0.10000000000000001,Bl,-1,3,1.0000000000000001e-09\n"
+    "1.2,0.30000000000000004,Bl,-1,3,5.0000000000000003e-10\n"
+    "1.3000000000000003,-0.33333333333333331,Bl,-1,3,0\n"
+)
+_PINNED_REGION_CSV = (
+    "b,a_left,a_right\n"
+    "6.9000000000000004,0.45000000000000001,0.55000000000000004\n"
+    "7,0.33333333333333331,0.66666666666666663\n"
+)
+
+
+def test_export_csv_bytes_pinned(tmp_path):
+    # Raster rows on both sides of b = 1, with 0/1 locks (a falsy Fraction),
+    # 1/3 locks and one unlocked cell.
+    g = raster(-0.15, 0.45, 0.6, 1.4, 3, 2, n_iter=200, q_max=3, workers=1)
+    samples = ((1.1, -0.1, 1e-9), (1.2, 0.1 + 0.2, 5e-10), (1.3000000000000003, -1 / 3, 0.0))
+    c = BoundaryCurve(kind="Bl", label=Fraction(-1, 3), samples=samples, tol=1e-8, step=0.1)
+    r = Region(interval_label=(ZERO, ONE), slices=((6.9, 0.45, 0.55), (7.0, 1 / 3, 2 / 3)))
+    for obj, text, load in (
+        (g, _PINNED_RASTER_CSV, load_raster_csv),
+        (c, _PINNED_CURVE_CSV, load_curve_csv),
+        (r, _PINNED_REGION_CSV, load_region_csv),
+    ):
+        path, again = tmp_path / "pinned.csv", tmp_path / "again.csv"
+        export_csv(obj, str(path))
+        assert path.read_bytes() == text.encode("ascii")
+        export_csv(load(str(path)), str(again))
+        assert again.read_bytes() == text.encode("ascii")
+
+
 def test_export_rejects_unknown_type(tmp_path):
     with pytest.raises(TypeError):
         export_csv(42, str(tmp_path / "x.csv"))
@@ -332,6 +381,33 @@ def test_load_rejects_wrong_header(tmp_path):
     export_csv(Region(interval_label=(ZERO, ZERO), slices=()), str(path))
     with pytest.raises(ValueError):
         load_curve_csv(str(path))
+
+
+def test_load_rejects_malformed_rows(tmp_path):
+    path = tmp_path / "bad.csv"
+    raster_header = "a,b,rho_minus,rho_plus,err,lock_lo_p,lock_lo_q,lock_hi_p,lock_hi_q"
+    for load, text in (
+        (load_curve_csv, "b,a,kind,p,q,residual\n1.1,0.1,Bl,0,1,1e-9\n\n1.2,0.2\n"),
+        (load_curve_csv, "b,a,kind,p,q,residual\n1.1,0.1,Bl,0,1,1e-9\n\n1.2,0.2,Bl,0,1,0,7\n"),
+        (load_region_csv, "b,a_left,a_right\n1,0.1,0.2\n\n2,0.1\n"),
+        (load_raster_csv, raster_header + "\n0.5,1,0,0,0.01,,,,\n\n0.5,2,0,0,0.01,,,\n"),
+    ):
+        path.write_text(text, encoding="ascii")
+        # the blank third line is skipped but still counted
+        with pytest.raises(ValueError, match=r"bad\.csv, line 4: \d fields, expected \d"):
+            load(str(path))
+
+
+def test_load_rejects_zero_denominator(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("b,a,kind,p,q,residual\n1.1,0.1,Bl,1,0,1e-9\n", encoding="ascii")
+    with pytest.raises(ValueError, match="zero denominator in 1/0"):
+        load_curve_csv(str(path))
+    header = "a,b,rho_minus,rho_plus,err,lock_lo_p,lock_lo_q,lock_hi_p,lock_hi_q"
+    for locks in ("0,1,1,0", "1,0,0,1"):
+        path.write_text(f"{header}\n0.5,1,0,0,0.01,{locks}\n", encoding="ascii")
+        with pytest.raises(ValueError, match="zero denominator in 1/0"):
+            load_raster_csv(str(path))
 
 
 def test_palette_distinct_small_denominators():
