@@ -9,7 +9,9 @@ success, 2 on usage errors, 3 on numerical failures.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -97,6 +99,15 @@ def _emit(result: Dict, as_json: bool) -> None:
                 print(f"  {parts}")
         else:
             print(f"{key} = {value}")
+
+
+def _check_outputs(*paths: Optional[str]) -> None:
+    """Fail before any work when an output path is a directory or lies in a missing one."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _cmd_lift(args) -> Dict:
@@ -213,6 +224,7 @@ def _cmd_edges(args) -> Dict:
 
 
 def _cmd_trace(args) -> Dict:
+    _check_outputs(args.csv)
     curve = trace_curve(
         args.kind,
         args.rot,
@@ -240,6 +252,7 @@ def _cmd_trace(args) -> Dict:
 
 
 def _cmd_region(args) -> Dict:
+    _check_outputs(args.csv)
     reg = region_boundary(
         (args.lo, args.hi),
         (args.b_min, args.b_max),
@@ -287,6 +300,7 @@ def _cmd_intersect(args) -> Dict:
 
 
 def _cmd_raster(args) -> Dict:
+    _check_outputs(args.img, args.csv)
     grid = raster(
         args.a_min,
         args.a_max,

@@ -2,10 +2,10 @@
 
 An orbit with rotation label p/q solves F^q(x) = x + p.  Roots of the
 closure function G(x) = F^q(x) - x - p are found by a dense scan plus
-bisection, with a separate local-minimum search for the double roots that
-appear on saddle-node loci.  Orbits are grouped by walking the root set
-with the map itself, and classified by the product of derivatives along
-one period.
+bisection, with the certificate's dip search (rotation._dips) for the
+double roots that appear on saddle-node loci.  Orbits are grouped by
+walking the root set with the map itself, and classified by the product
+of derivatives along one period.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import AmbiguityError, NoOrbitError
 from .maps import Params, critical_points, deriv, eval_lift
-from .rotation import Q_MAX_DEFAULT, Rational, _iterate
-from .solvers import bisect, golden_min
+from .rotation import Q_MAX_DEFAULT, Rational, _closure, _dips
+from .solvers import bisect
 
 SUPERATTRACTING = "superattracting"
 ATTRACTING = "attracting"
@@ -112,30 +112,21 @@ def find_periodic_orbits(
     """All periodic orbits with rotation label r, one per translation class.
 
     Scans the closure function on a dense grid over one period, bisects
-    every sign change, and hunts double roots (saddle-node orbits) as
-    local minima of |G| dipping below the closure tolerance.  Raises
-    NoOrbitError when no root exists, which for this family means r lies
-    outside the rotation interval.
+    every sign change, and hunts double roots (saddle-node orbits) as dips
+    of |G| below the closure tolerance, with the dip search that level_sign
+    uses (rotation._dips).  Raises NoOrbitError when no root exists, which
+    for this family means r lies outside the rotation interval.
     """
     r = Rational(r)
-    q = r.denominator
-    p_num = r.numerator
-    if q > q_max:
-        raise ValueError(f"denominator {q} exceeds q_max={q_max}")
-    lift = partial(eval_lift, p)
-
-    def closure(x):
-        """G(x) = F^q(x) - x - p_num, for a float or an array of points."""
-        return _iterate(lift, x, q) - x - p_num
-
+    closure = _closure(partial(eval_lift, p), r, q_max)
+    q, p_num = r.denominator, r.numerator
     n = SCAN_DENSITY * q
     grid = np.arange(n, dtype=float) / n
     g = closure(grid)
     half_cell = 0.5 / n
 
     roots: List[Tuple[float, float]] = []  # (location, |G| there)
-    g_next = np.roll(g, -1)
-    sign_change = (g * g_next) < 0.0
+    sign_change = (g * np.roll(g, -1)) < 0.0
     for i in np.nonzero(sign_change)[0]:
         # The bracket is 1/n <= 2**-12 wide, so 28 halvings reach 1e-12.
         lo, hi = bisect(closure, grid[i], grid[i] + 1.0 / n, g[i], 1e-12)
@@ -144,24 +135,12 @@ def find_periodic_orbits(
     for i in np.nonzero(g == 0.0)[0]:
         roots.append((float(grid[i]), 0.0))
 
-    # Double roots: a local minimum of |G| that reaches (numerical) zero
-    # without a sign change.  Skip cells already owning a bisected root.
+    # Double roots: dips of |G| to (numerical) zero away from bisected roots.
     absg = np.abs(g)
-    local_min = (absg <= np.roll(absg, 1)) & (absg <= np.roll(absg, -1))
-    near_change = sign_change | np.roll(sign_change, 1)
-    for i in np.nonzero(local_min & ~near_change)[0]:
-        if absg[i] > 1e-4:
-            continue
-        x0 = grid[i]
-        xr = golden_min(
-            lambda t: abs(closure(t)),
-            x0 - 1.0 / n,
-            x0 + 1.0 / n,
-            xtol=1e-12,
-        )
-        val = abs(closure(xr))
+    keep = ~(sign_change | np.roll(sign_change, 1)) & (absg <= 1e-4)
+    for x, val in _dips(lambda t: abs(closure(t)), grid, absg, keep, xtol=1e-12):
         if val < CLOSURE_TOL:
-            roots.append((xr % 1.0, val))
+            roots.append((x % 1.0, val))
 
     if not roots:
         raise NoOrbitError(

@@ -6,8 +6,9 @@ possible, certified to equal a nearby rational exactly.  A lift with a
 decreasing lap has a whole interval of rotation numbers, bounded by the
 rotation numbers of its two monotone envelopes.
 
-The rotation estimate, the certificate's level function and the orbit
-closure in orbits all iterate through one kernel, _iterate.
+The rotation estimate and the level function G = f^q - x - p (_closure)
+iterate through one kernel, _iterate.  The certificate and the orbit scan
+in orbits share G and its dip search (_dips).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -108,6 +109,32 @@ def snap_rational(value: float, tol: float, q_max: int) -> Optional[Rational]:
     return best
 
 
+def _closure(f: Callable[[ArrayLike], ArrayLike], r: Rational, q_max: int, s: int = 1) -> Callable:
+    """s*G for the level function G(x) = f^q(x) - x - p of r = p/q and s = +-1."""
+    if r.denominator > q_max:
+        raise ValueError(f"denominator {r.denominator} exceeds q_max={q_max}")
+    q, p_num = r.denominator, r.numerator
+    if s == 1:  # plain G takes no multiply: it runs on every grid and every orbit probe
+        return lambda x: _iterate(f, x, q) - x - p_num
+    return lambda x: s * (_iterate(f, x, q) - x - p_num)
+
+
+def _dips(
+    f: Callable[[float], float], grid: np.ndarray, values: np.ndarray, keep=None, xtol: float = 1e-9
+) -> Iterator[Tuple[float, float]]:
+    """(x, f(x)) at the golden-section minimum of f within one cell of each dip.
+
+    A dip is a cyclic grid-local minimum of values = f(grid) on the periodic
+    grid arange(n)/n where the mask keep (if any) holds, in grid order.  Narrow
+    dips between grid points are the only way a grid misses a zero of G.
+    """
+    h = 1.0 / len(grid)
+    local_min = (values <= np.roll(values, 1)) & (values <= np.roll(values, -1))
+    for x in grid[local_min if keep is None else local_min & keep]:
+        xm = golden_min(f, x - h, x + h, xtol=xtol)
+        yield xm, f(xm)
+
+
 def level_sign(m: MonotoneLift, r: Rational, q_max: int = Q_MAX_DEFAULT) -> int:
     """Position of the rotation number of m relative to the rational r.
 
@@ -120,19 +147,12 @@ def level_sign(m: MonotoneLift, r: Rational, q_max: int = Q_MAX_DEFAULT) -> int:
     p/q, G > 0 everywhere means above, and G attaining both signs or a
     zero pins it to exactly p/q.  The side is decided on the raw grid:
     a strict sign there leaves only that side able to turn into a touch,
-    so only its grid-local extrema are sharpened by golden-section search.
-    Values within the zero band TOLZ count as zero.
+    so only the dips of s*G (_dips, shared with the orbit scan) are
+    sharpened.  Values within the zero band TOLZ count as zero.
     """
-    if r.denominator > q_max:
-        raise ValueError(
-            f"denominator {r.denominator} exceeds q_max={q_max}"
-        )
-    p_num = r.numerator
-    q = r.denominator
-    n_grid = max(64, 8 * q)
+    n_grid = max(64, 8 * r.denominator)
     grid = np.arange(n_grid, dtype=float) / n_grid
-    f = m.eval
-    g = _iterate(f, grid, q) - grid - p_num
+    g = _closure(m.eval, r, q_max)(grid)
     # A nan anywhere in g fails both tests, so a nan grid returns 0.
     if float(np.min(g)) > TOLZ:
         s = 1
@@ -141,17 +161,8 @@ def level_sign(m: MonotoneLift, r: Rational, q_max: int = Q_MAX_DEFAULT) -> int:
     else:
         # Both signs (or a touch) already visible on the raw grid.
         return 0
-
-    def sg_at(x: float) -> float:
-        return s * (_iterate(f, x, q) - x - p_num)
-
-    # Sharpen every grid-local minimum of s*G: G is periodic, so compare
-    # with cyclic neighbours.  Narrow dips between grid points are the only
-    # way the raw grid can misclassify a tangency.
-    sg = s * g
-    h = 1.0 / n_grid
-    for x in grid[(sg <= np.roll(sg, 1)) & (sg <= np.roll(sg, -1))]:
-        if sg_at(golden_min(sg_at, x - h, x + h)) <= TOLZ:
+    for _, sg in _dips(_closure(m.eval, r, q_max, s), grid, s * g):
+        if sg <= TOLZ:
             return 0
     return s
 

@@ -326,23 +326,35 @@ def export_csv(obj: Union[RasterGrid, BoundaryCurve, Region], path: str) -> None
         fh.write(text)
 
 
-def _split_rows(path: str, schema: _Csv) -> List[List[str]]:
-    """Fields of each nonblank line after the header, which must be schema's."""
+def _split_rows(path: str, schema: _Csv, parse: Callable[[List[str]], Tuple]) -> List[Tuple]:
+    """parse(fields) of each nonblank line after the header, which must be schema's.
+
+    A wrong field count, or a field that parse cannot convert, is reported
+    with the file and line.
+    """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != schema.header:
         got = lines[0] if lines else "empty file"
         raise ValueError(f"{path}: expected header {schema.header!r}, got {got!r}")
     width = schema.header.count(",") + 1
+    rows = []
     for n, line in enumerate(lines[1:], 2):
-        if line and line.count(",") + 1 != width:
-            raise ValueError(f"{path}, line {n}: {line.count(',') + 1} fields, expected {width}")
-    return [line.split(",") for line in lines[1:] if line]
+        if not line:
+            continue
+        fields = line.split(",")
+        try:
+            if len(fields) != width:
+                raise ValueError(f"{len(fields)} fields, expected {width}")
+            rows.append(parse(fields))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {n}: {exc}") from None
+    return rows
 
 
-def _fraction(path: str, p: str, q: str) -> Rational:
+def _fraction(p: str, q: str) -> Rational:
     if int(q) == 0:
-        raise ValueError(f"{path}: zero denominator in {p}/{q}")
+        raise ValueError(f"zero denominator in {p}/{q}")
     return Fraction(int(p), int(q))
 
 
@@ -353,15 +365,17 @@ def load_curve_csv(path: str) -> BoundaryCurve:
     largest residual and the median b spacing, which is what the
     Lipschitz audit needs.
     """
-    rows = _split_rows(path, _CURVE_CSV)
+    rows = _split_rows(
+        path, _CURVE_CSV, lambda r: (float(r[0]), float(r[1]), float(r[5]), r[2], _fraction(r[3], r[4]))
+    )
     if not rows:
         raise ValueError(f"{path}: curve file has no samples")
-    samples = tuple((float(r[0]), float(r[1]), float(r[5])) for r in rows)
-    label = _fraction(path, rows[0][3], rows[0][4])
+    samples = tuple(r[:3] for r in rows)
+    kind, label = rows[0][3:]
     tol = max(max(s[2] for s in samples), 1e-12)
     steps = sorted(b1 - b0 for (b0, _, _), (b1, _, _) in zip(samples, samples[1:])) or [1.0]
     step = steps[len(steps) // 2]
-    return BoundaryCurve(kind=rows[0][2], label=label, samples=samples, tol=tol, step=step)
+    return BoundaryCurve(kind=kind, label=label, samples=samples, tol=tol, step=step)
 
 
 def load_region_csv(path: str) -> Region:
@@ -370,8 +384,14 @@ def load_region_csv(path: str) -> Region:
     The interval label is not stored in the file, so the loaded object
     carries the placeholder (0, 0) label.
     """
-    slices = tuple(tuple(map(float, row)) for row in _split_rows(path, _REGION_CSV))
+    slices = tuple(_split_rows(path, _REGION_CSV, lambda r: tuple(map(float, r))))
     return Region(interval_label=(Fraction(0), Fraction(0)), slices=slices)
+
+
+def _raster_cell(r: List[str]) -> Tuple:
+    """a, b, rho_minus, rho_plus, err and the two locks (None when unlocked)."""
+    lo, hi = (None if r[k] == "" else _fraction(r[k], r[k + 1]) for k in (5, 7))
+    return (*map(float, r[:5]), lo, hi)
 
 
 def load_raster_csv(path: str) -> RasterGrid:
@@ -379,9 +399,11 @@ def load_raster_csv(path: str) -> RasterGrid:
 
     Cell centers, estimates and locks round-trip exactly; the outer
     bounds are inferred from the center spacing (exact centers are what
-    re-export uses, so export -> load -> export is byte-stable).
+    re-export uses, so export -> load -> export is byte-stable).  A file
+    whose rows do not all carry the first row's a values, each at one b,
+    is not a grid and raises ValueError.
     """
-    rows = _split_rows(path, _RASTER_CSV)
+    rows = _split_rows(path, _RASTER_CSV, _raster_cell)
     if not rows:
         raise ValueError(f"{path}: raster file has no cells")
     na = 1
@@ -392,13 +414,14 @@ def load_raster_csv(path: str) -> RasterGrid:
     nb = len(rows) // na
     # One float array of the a, b, rho_minus and rho_plus fields.  The file
     # lists rows from b_max down, so flip them to b ascending; avec is its first.
-    cells = np.array([[float(x) for x in r[:4]] for r in rows]).reshape(nb, na, 4)[::-1]
+    cells = np.array([r[:4] for r in rows]).reshape(nb, na, 4)[::-1]
     a, b, rho_minus, rho_plus = np.moveaxis(cells, 2, 0).copy()
     avec, bvec = a[-1], b[:, 0].copy()
+    if (a != avec).any() or (b != bvec[:, None]).any():
+        raise ValueError(f"{path}: not a grid (each row must repeat the first row's a values at one b)")
 
     def locks(k: int) -> List[List[Optional[Rational]]]:
-        flat = [None if r[k] == "" else _fraction(path, r[k], r[k + 1]) for r in rows]
-        return [flat[j * na : (j + 1) * na] for j in range(nb - 1, -1, -1)]
+        return [[r[k] for r in rows[j * na : (j + 1) * na]] for j in range(nb - 1, -1, -1)]
 
     da = (avec[1] - avec[0]) if na > 1 else 1.0
     db = (bvec[1] - bvec[0]) if nb > 1 else 1.0
@@ -413,7 +436,7 @@ def load_raster_csv(path: str) -> RasterGrid:
         bvec=bvec,
         rho_minus=rho_minus,
         rho_plus=rho_plus,
-        err=float(rows[0][4]),
+        err=rows[0][4],
         lock_lo=locks(5),
-        lock_hi=locks(7),
+        lock_hi=locks(6),
     )

@@ -208,19 +208,24 @@ def plateau_edges(
 ) -> Tuple[float, float]:
     """Edges of the {a : envelope rotation number == r} plateau at this b.
 
-    The window must bracket the plateau: the envelope rotation number must
-    sit strictly below r at its left end and strictly above at its right
-    end, otherwise BadWindowError.  A plateau narrower than the bisection
-    resolution collapses to a doubled midpoint.  EmptyPlateauError signals
-    mutually inconsistent edge locations, which a valid bracket cannot
-    produce.
+    b must be >= 0 and finite and the window finite with lo <= hi, otherwise
+    ValueError.  The window must bracket the plateau: the envelope rotation
+    number must sit strictly below r at its left end and strictly above at
+    its right end, otherwise BadWindowError.  A plateau narrower than the
+    bisection resolution collapses to a doubled midpoint.  EmptyPlateauError
+    signals mutually inconsistent edge locations, which a valid bracket
+    cannot produce.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
+    if not 0.0 <= b < math.inf:
+        raise ValueError(f"b must be >= 0 and finite, got {b!r}")
     r = Rational(r)
     if a_window is None:
         a_window = default_window(b, r)
     lo_w, hi_w = a_window
+    if not -math.inf < lo_w <= hi_w < math.inf:
+        raise ValueError(f"window must be finite with lo <= hi, got {a_window!r}")
     if not lo_w < hi_w:
         raise BadWindowError(f"empty window {a_window!r}")
 

@@ -92,6 +92,8 @@ def test_usage_error_exit_codes(capsys, tmp_path):
     short, zero_q = tmp_path / "short.csv", tmp_path / "zero_q.csv"
     short.write_text(header + "1.1,0.1,Bl,0,1,1e-9\n1.2,0.2\n", encoding="ascii")
     zero_q.write_text(header + "1.1,0.1,Bl,0,0,1e-9\n1.2,0.2,Bl,0,0,1e-9\n", encoding="ascii")
+    not_a_number = tmp_path / "abc.csv"
+    not_a_number.write_text(header + "1.1,abc,Bl,0,1,1e-9\n", encoding="ascii")
     for argv in (
         ["interval", "--a", "1/0", "--b", "2"],
         ["orbit", "--a", "0.1", "--b", "2", "--rot", "1/0"],
@@ -114,6 +116,13 @@ def test_usage_error_exit_codes(capsys, tmp_path):
         ["rho", "--a", "1e308", "--b", "2"],
         ["audit-lipschitz", "--in", str(short)],
         ["audit-lipschitz", "--in", str(zero_q)],
+        ["audit-lipschitz", "--in", str(not_a_number)],
+        ["edges", "--b", "-1", "--rot", "0/1"],
+        ["edges", "--b", "nan", "--rot", "0/1"],
+        ["edges", "--b", "inf", "--rot", "0/1"],
+        ["edges", "--b", "2", "--rot", "0/1", "--window", "1", "0"],
+        ["edges", "--b", "2", "--rot", "0/1", "--window", "nan", "1"],
+        ["region", "--lo", "0/1", "--hi", "1/3", "--b-min", "-1", "--b-max", "0", "--step", "0.5"],
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("usage"), argv
@@ -130,6 +139,32 @@ def test_file_errors_are_usage_errors(capsys, tmp_path):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "No such file or directory" in err, argv
+
+
+def test_unwritable_outputs_fail_before_any_work(capsys, tmp_path, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("computed before checking the output path")
+
+    for name in ("trace_curve", "region_boundary", "raster"):
+        monkeypatch.setattr(f"arnoldtongues.cli.{name}", must_not_run)
+    trace = ["trace", "--kind", "Bl", "--rot", "0/1", "--b-min", "1.1", "--b-max", "1.2"]
+    trace += ["--step", "0.05"]
+    region = ["region", "--lo", "0/1", "--hi", "1/1", "--b-min", "7", "--b-max", "7", "--step", "1"]
+    ras = ["raster", "--a-min", "0", "--a-max", "1", "--b-min", "0", "--b-max", "1"]
+    ras += ["--na", "2", "--nb", "2"]
+    missing_dir = str(tmp_path / "no" / "such" / "x.out")
+    for path in (missing_dir, str(tmp_path)):
+        for argv in (
+            trace + ["--csv", path],
+            region + ["--csv", path],
+            ras + ["--csv", path],
+            ras + ["--img", path],
+            ras + ["--img", str(tmp_path / "ok.ppm"), "--csv", path],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and path in err, argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_q_max_default_per_subcommand(capsys):

@@ -6,14 +6,18 @@ from fractions import Fraction
 import pytest
 
 from arnoldtongues import (
+    PLUS,
     NoOrbitError,
     Params,
     critical_points,
     deriv,
+    envelope,
     eval_lift,
     find_periodic_orbits,
     itinerary,
+    level_sign,
     orbit_pair,
+    plateau_edges,
 )
 from arnoldtongues.orbits import (
     ATTRACTING,
@@ -59,6 +63,25 @@ def test_fixed_points_at_origin_b2():
 def test_denominator_cap():
     with pytest.raises(ValueError):
         find_periodic_orbits(Params(0.2, 2.0), Fraction(1, 5), q_max=4)
+
+
+@pytest.mark.parametrize("b", [0.5, 0.9, 1.0])
+@pytest.mark.parametrize(
+    "r", [Fraction(0, 1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)], ids=str
+)
+def test_certificate_agrees_with_orbit_scan_at_tongue_edges(b, r):
+    # For b <= 1 the plus envelope is the lift, whose rotation number is
+    # p/q exactly when an orbit of type p/q exists: level_sign's decision
+    # and the orbit scan must agree 1e-9 on either side of each edge.
+    for edge, outside in zip(plateau_edges(b, r, PLUS, tol=1e-12), (-1, 1)):
+        for a, expected in ((edge - outside * 1e-9, 0), (edge + outside * 1e-9, outside)):
+            p = Params(a, b)
+            assert level_sign(envelope(p, PLUS), r) == expected, (a, b, r)
+            if expected == 0:
+                assert find_periodic_orbits(p, r), (a, b, r)
+            else:
+                with pytest.raises(NoOrbitError):
+                    find_periodic_orbits(p, r)
 
 
 def test_pair_single_class():

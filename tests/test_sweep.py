@@ -410,6 +410,38 @@ def test_load_rejects_zero_denominator(tmp_path):
             load_raster_csv(str(path))
 
 
+def test_load_names_file_and_line_of_bad_numbers(tmp_path):
+    path = tmp_path / "bad.csv"
+    raster_header = "a,b,rho_minus,rho_plus,err,lock_lo_p,lock_lo_q,lock_hi_p,lock_hi_q"
+    for load, text in (
+        (load_curve_csv, "b,a,kind,p,q,residual\n1.1,0.1,Bl,0,1,1e-9\n\n1.2,abc,Bl,0,1,1e-9\n"),
+        (load_curve_csv, "b,a,kind,p,q,residual\n1.1,0.1,Bl,0,1,1e-9\n\n1.2,0.2,Bl,x,1,1e-9\n"),
+        (load_region_csv, "b,a_left,a_right\n1,0.1,0.2\n\n2,0.1,abc\n"),
+        (load_raster_csv, raster_header + "\n0.5,1,0,0,0.01,,,,\n\n0.5,abc,0,0,0.01,,,,\n"),
+        (load_raster_csv, raster_header + "\n0.5,1,0,0,0.01,,,,\n\n0.5,2,0,0,0.01,1,x,,\n"),
+    ):
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(ValueError, match=r"bad\.csv, line 4: .*(float|int)"):
+            load(str(path))
+
+
+def test_load_raster_rejects_what_is_not_a_grid(tmp_path):
+    path = tmp_path / "bad.csv"
+    header = "a,b,rho_minus,rho_plus,err,lock_lo_p,lock_lo_q,lock_hi_p,lock_hi_q\n"
+    cell = "{},{},0,0,0.01,,,,\n"
+    for cells in (
+        # one a per row, but not the same a on both rows
+        [(0.25, 2), (0.75, 1)],
+        # b changes inside the second row
+        [(0.25, 2), (0.75, 2), (0.25, 1), (0.75, 1.5)],
+        # the second row carries other a values
+        [(0.25, 2), (0.75, 2), (0.25, 1), (0.5, 1)],
+    ):
+        path.write_text(header + "".join(cell.format(a, b) for a, b in cells), encoding="ascii")
+        with pytest.raises(ValueError, match=r"bad\.csv: not a grid"):
+            load_raster_csv(str(path))
+
+
 def test_palette_distinct_small_denominators():
     palette = Palette()
     colors = {palette.color_for_denominator(q) for q in range(1, 13)}

@@ -54,6 +54,16 @@ def test_window_validation():
         plateau_edges(0.5, ZERO, PLUS, a_window=(0.3, 0.3))
 
 
+def test_plateau_edges_input_validation():
+    # a bad b or window is a usage error, not a window that fails to bracket
+    for b in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="b must be >= 0 and finite"):
+            plateau_edges(b, ZERO, PLUS)
+    for window in ((1.0, 0.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="window must be finite"):
+            plateau_edges(2.0, ZERO, PLUS, a_window=window)
+
+
 def test_edges_at_b2_against_independent_values():
     assert locate_edge("Al", ZERO, 2.0) == pytest.approx(-HALFWIDTH_B2, abs=2e-8)
     assert locate_edge("Bl", ZERO, 2.0) == pytest.approx(BL0[2.0], abs=2e-8)
