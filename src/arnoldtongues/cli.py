@@ -102,12 +102,18 @@ def _emit(result: Dict, as_json: bool) -> None:
 
 
 def _check_outputs(*paths: Optional[str]) -> None:
-    """Fail before any work when an output path is a directory or lies in a missing one."""
+    """Fail before any work when an output path is a directory or its parent is not one.
+
+    The parent's error is the operating system's own: stat with a trailing
+    slash reports a missing parent as ENOENT and a regular file as ENOTDIR.
+    """
     for path in filter(None, paths):
+        try:
+            os.stat(os.path.join(os.path.dirname(path) or os.curdir, ""))
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _cmd_lift(args) -> Dict:

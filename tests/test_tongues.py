@@ -57,8 +57,10 @@ def test_window_validation():
 def test_plateau_edges_input_validation():
     # a bad b or window is a usage error, not a window that fails to bracket
     for b in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="b must be >= 0 and finite"):
+        with pytest.raises(ValueError, match="amplitude b must be"):
             plateau_edges(b, ZERO, PLUS)
+        with pytest.raises(ValueError, match="amplitude b must be"):
+            plateau_edges(b, ZERO, PLUS, a_window=(0.3, 0.3))
     for window in ((1.0, 0.0), (math.nan, 1.0)):
         with pytest.raises(ValueError, match="window must be finite"):
             plateau_edges(2.0, ZERO, PLUS, a_window=window)
@@ -168,6 +170,16 @@ def test_region_zero_lock_slice():
 def test_region_rejects_reversed_b_range():
     with pytest.raises(ValueError, match="empty b_range"):
         region_boundary((ZERO, ONE), (7.2, 6.8), step=0.1)
+
+
+def test_scans_reject_infinite_b_range():
+    for b_range in ((-math.inf, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="b_range must be finite"):
+            region_boundary((ZERO, ONE), b_range, step=0.5)
+        with pytest.raises(ValueError, match="b_range must be finite"):
+            trace_curve("Bl", ZERO, b_range, step=0.5)
+        with pytest.raises(ValueError, match="b_window must be finite"):
+            intersect_curves(("Bl", ZERO), ("Br", ZERO), b_range)
 
 
 def test_unit_interval_region_absent_at_low_coupling():
