@@ -119,6 +119,18 @@ def _closure(f: Callable[[ArrayLike], ArrayLike], r: Rational, q_max: int, s: in
     return lambda x: s * (_iterate(f, x, q) - x - p_num)
 
 
+def _cyclic_minima(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries no larger than either cyclic neighbour (at least 2 entries).
+
+    Shifted slices give the mask of two np.roll comparisons at a fraction of their cost.
+    """
+    mask = np.empty(len(values), dtype=bool)
+    mask[1:-1] = (values[1:-1] <= values[:-2]) & (values[1:-1] <= values[2:])
+    mask[0] = values[0] <= values[-1] and values[0] <= values[1]
+    mask[-1] = values[-1] <= values[-2] and values[-1] <= values[0]
+    return mask
+
+
 def _dips(
     f: Callable[[float], float], grid: np.ndarray, values: np.ndarray, keep=True, xtol: float = 1e-9
 ) -> Iterator[Tuple[float, float]]:
@@ -129,10 +141,17 @@ def _dips(
     between grid points are the only way a grid misses a zero of G.
     """
     h = 1.0 / len(grid)
-    local_min = (values <= np.roll(values, 1)) & (values <= np.roll(values, -1))
-    for x in grid[local_min & keep]:
+    for x in grid[_cyclic_minima(values) & keep]:
         xm = golden_min(f, x - h, x + h, xtol=xtol)
         yield xm, f(xm)
+
+
+def _level_grid(m: MonotoneLift, r: Rational, q_max: int) -> Tuple[Callable, np.ndarray, np.ndarray]:
+    """G of level_sign and level_gap, their grid of max(64, 8q) points and G on it."""
+    n_grid = max(64, 8 * r.denominator)
+    grid = np.arange(n_grid, dtype=float) / n_grid
+    closure = _closure(m.eval, r, q_max)
+    return closure, grid, closure(grid)
 
 
 def level_sign(m: MonotoneLift, r: Rational, q_max: int = Q_MAX_DEFAULT) -> int:
@@ -150,10 +169,7 @@ def level_sign(m: MonotoneLift, r: Rational, q_max: int = Q_MAX_DEFAULT) -> int:
     so only the dips of s*G (_dips, shared with the orbit scan) are
     sharpened.  Values within the zero band TOLZ count as zero.
     """
-    n_grid = max(64, 8 * r.denominator)
-    grid = np.arange(n_grid, dtype=float) / n_grid
-    closure = _closure(m.eval, r, q_max)
-    g = closure(grid)
+    closure, grid, g = _level_grid(m, r, q_max)
     # A nan anywhere in g fails both tests, so a nan grid returns 0.
     if float(np.min(g)) > TOLZ:
         s = 1
@@ -166,6 +182,29 @@ def level_sign(m: MonotoneLift, r: Rational, q_max: int = Q_MAX_DEFAULT) -> int:
         if sg <= TOLZ:
             return 0
     return s
+
+
+def level_gap(m: MonotoneLift, r: Rational, s: int, q_max: int = Q_MAX_DEFAULT) -> float:
+    """Extremal level gap of m at r past the zero band, phi_R for s = 1 and phi_L for s = -1.
+
+    phi_R = min G - TOLZ and phi_L = max G + TOLZ for G = m^q - x - p, where
+    the extremum runs over level_sign's grid and the golden-section
+    sharpening of every dip of s*G, the same floating-point operations as
+    level_sign's.  So phi > 0 exactly when level_sign(m, r) > (s - 1) / 2,
+    that is above 0 for s = 1 and above -1 for s = -1; phi_L adds one ulp
+    to TOLZ because level_sign counts a value equal to TOLZ as zero.  A nan
+    on the grid gives a nan gap, which decides nothing.
+
+    For the envelopes, d(m^q)/da >= 1, so phi rises in a with slope at
+    least 1 and the zero of phi, a plateau edge, lies between a and a - phi.
+    """
+    closure, grid, g = _level_grid(m, r, q_max)
+    if s == -1:
+        closure, g = _closure(m.eval, r, q_max, -1), -g
+    low = float(np.min(g))
+    for _, sg in _dips(closure, grid, g):
+        low = min(low, sg)  # keeps a nan low and skips a nan sg, as level_sign does
+    return float(s * (low - (TOLZ if s == 1 else math.nextafter(TOLZ, math.inf))))
 
 
 def rho_exact_rational_test(

@@ -15,13 +15,23 @@ curves are continued in b inside the Lipschitz cone, and each located
 point can be cross-checked against the independent orbit-based boundary
 conditions (parabolic orbit on A-curves, critical value hitting an orbit
 value on B-curves).
+
+The bisection is decided from the extremal level gap phi
+(rotation.level_gap), whose sign is the certificate's decision and which
+rises in a with slope at least 1, so each evaluation at a brackets the
+edge between a and a - phi.  A few secant-seeded evaluations narrow the
+bracket below tol; the bisection midpoints outside it need no
+computation.  Both ends of the final bracket are certified with
+level_sign, and plain level_sign bisection runs again if either fails.
+While level_sign is monotone in a, the edges are therefore bit for bit
+those of plain bisection.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .errors import (
     BadWindowError,
@@ -29,9 +39,9 @@ from .errors import (
     EmptyPlateauError,
     NoOrbitError,
 )
-from .maps import MINUS, PLUS, TWO_PI, Params, critical_points, envelope, eval_lift
+from .maps import MINUS, PLUS, TWO_PI, MonotoneLift, Params, critical_points, envelope, eval_lift
 from .orbits import orbit_pair
-from .rotation import Q_MAX_DEFAULT, Rational, level_sign
+from .rotation import Q_MAX_DEFAULT, Rational, level_gap, level_sign
 from .solvers import bisect
 
 KIND_AL = "Al"
@@ -153,6 +163,90 @@ def _b_samples(
     return (b_lo + i * step for i in range(n + 1))
 
 
+def _secant(p0: Tuple[float, float], p1: Tuple[float, float]) -> float:
+    """Zero of the line through the points (a, phi) p0 and p1, nan if it is flat."""
+    (a0, f0), (a1, f1) = p0, p1
+    return a1 - f1 * (a1 - a0) / (f1 - f0) if f1 != f0 else math.nan
+
+
+def _gap_bisect(
+    gap: Callable[[float], float],
+    sgn: Callable[[float], int],
+    c: int,
+    a_window: Tuple[float, float],
+    tol: float,
+) -> Tuple[float, float]:
+    """Final bracket of the sign bisection of the cut c, decided from the gap phi.
+
+    Every phi evaluation at a narrows the bracket [e_lo, e_hi] of the edge
+    to its intersection with the span of a and a - phi.  Up to 8 seeding
+    evaluations start at the window centre and go on from the newest point
+    by the secant through the previous point on its side, else through the
+    latest point on the other side, else to a - phi (the midpoint of the
+    bracket when that leaves it), until the bracket is within tol / 8.
+    solvers.bisect then runs over the whole window; a midpoint more than
+    tol / 64 outside the bracket is answered by that side, any other by
+    phi > 0, or by sgn where phi is nan.  With exact brackets these are
+    the answers sgn would give, so the midpoints are those of the plain
+    bisection.
+    """
+    e_lo, e_hi = a_window
+
+    def probe(a: float) -> float:
+        nonlocal e_lo, e_hi
+        phi = gap(a)
+        if phi == phi:  # a nan gives no bracket
+            e_lo, e_hi = max(e_lo, min(a, a - phi)), min(e_hi, max(a, a - phi))
+        return phi
+
+    sides: Tuple[list, list] = ([], [])  # (a, phi) at or below the cut, above it
+    a = 0.5 * (a_window[0] + a_window[1])
+    for _ in range(8):
+        phi = probe(a)
+        if phi != phi or e_hi - e_lo <= tol / 8:
+            break
+        side, other = sides[phi > 0.0], sides[phi <= 0.0]
+        side.append((a, phi))
+        if len(side) > 1:
+            a = _secant(side[-2], side[-1])
+        elif other:
+            a = _secant(other[-1], side[-1])
+        else:
+            a -= phi
+        if not e_lo <= a <= e_hi:
+            a = 0.5 * (e_lo + e_hi)
+
+    guard = tol / 64
+
+    def above_cut(a: float) -> float:
+        if a < e_lo - guard:
+            return -1.0
+        if a > e_hi + guard:
+            return 1.0
+        phi = probe(a)
+        if phi == phi:
+            return 1.0 if phi > 0.0 else -1.0
+        return 1.0 if sgn(a) > c else -1.0
+
+    return bisect(above_cut, a_window[0], a_window[1], -1.0, tol)
+
+
+def _sign_bisect(
+    sgn: Callable[[float], int], c: int, a_window: Tuple[float, float], tol: float
+) -> Tuple[float, float, bool]:
+    """Plain bisection of the cut c on sgn: final bracket and whether any probe returned 0."""
+    seen_zero = False
+
+    def above_cut(a: float) -> float:
+        nonlocal seen_zero
+        s = sgn(a)
+        seen_zero = seen_zero or s == 0
+        return 1.0 if s > c else -1.0
+
+    lo, hi = bisect(above_cut, a_window[0], a_window[1], -1.0, tol)
+    return lo, hi, seen_zero
+
+
 def _locate_edges(
     b: float,
     r: Rational,
@@ -168,12 +262,18 @@ def _locate_edges(
     edge is where s rises above -1, its right edge where s rises above 0,
     so each edge has a cut c and the window must satisfy s(lo) <= c < s(hi),
     otherwise BadWindowError.  Both ends are probed once for all sides.
-    Returns one (edge, final bracket width, whether any probe returned 0)
-    per side.
+    The bisection is decided from the level gap (_gap_bisect) and its final
+    bracket is kept only when s certifies both ends, s(lo) <= c < s(hi);
+    otherwise the plain bisection on s runs again.  Returns one (edge,
+    final bracket width, whether a bisection probe of s would return 0)
+    per side; that is whether the inner end of the bracket, lo for the
+    right edge and hi for the left, was probed and lies on the plateau.
     """
+    def lift(a: float) -> MonotoneLift:
+        return envelope(Params(a, b), which)
 
     def sgn(a: float) -> int:
-        return level_sign(envelope(Params(a, b), which), r, q_max=q_max)
+        return level_sign(lift(a), r, q_max=q_max)
 
     lo_w, hi_w = a_window
     s_lo = sgn(lo_w)
@@ -187,15 +287,18 @@ def _locate_edges(
         )
     edges = []
     for c in cuts:
-        seen_zero = False
+        s = 2 * c + 1  # the gap phi_R for the right edge, phi_L for the left
 
-        def above_cut(a: float) -> float:
-            nonlocal seen_zero
-            s = sgn(a)
-            seen_zero = seen_zero or s == 0
-            return 1.0 if s > c else -1.0
+        def gap(a: float) -> float:
+            return level_gap(lift(a), r, s, q_max=q_max)
 
-        lo, hi = bisect(above_cut, lo_w, hi_w, -1.0, tol)
+        lo, hi = _gap_bisect(gap, sgn, c, a_window, tol)
+        end_lo = s_lo if lo == lo_w else sgn(lo)
+        end_hi = s_hi if hi == hi_w else sgn(hi)
+        if end_lo <= c < end_hi:
+            seen_zero = (lo > lo_w and end_lo == 0) if c == 0 else (hi < hi_w and end_hi == 0)
+        else:
+            lo, hi, seen_zero = _sign_bisect(sgn, c, a_window, tol)
         edges.append((0.5 * (lo + hi), hi - lo, seen_zero))
     return edges
 

@@ -1,7 +1,9 @@
 """Boundary-curve location, tracing, regions, and crossings."""
 
+import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -21,6 +23,9 @@ from arnoldtongues import (
     region_boundary,
     trace_curve,
 )
+from arnoldtongues import envelope, level_sign, tongues
+from arnoldtongues.rotation import level_gap
+from arnoldtongues.tongues import _locate_edges, default_window
 
 from helpers import locate_edge
 from oracle_values import B_SPLIT, B_TIP, BL0, HALFWIDTH_B05, HALFWIDTH_B2
@@ -317,3 +322,91 @@ def test_tongue_order_and_symmetry_at_b2():
     assert br + bl == pytest.approx(1.0, abs=1e-6)
     # the fully locked slab is the overlap of the two plateaus
     assert max(al, br) <= min(bl, ar) + 2 * tol
+
+
+@lru_cache(maxsize=None)
+def _plain_sign_bisection(b, r, which, sides, window, tol, q_max=64):
+    """The edge search without the level gap: halve the window on level_sign alone (cached)."""
+    edges = []
+    for side in sides:
+        cut = -1 if side == "left" else 0
+        lo, hi = window
+        seen_zero = False
+        while True:
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= tol or mid == lo or mid == hi:
+                break
+            s = level_sign(envelope(Params(mid, b), which), r, q_max=q_max)
+            seen_zero = seen_zero or s == 0
+            lo, hi = (lo, mid) if s > cut else (mid, hi)
+        edges.append((0.5 * (lo + hi), hi - lo, seen_zero))
+    return edges
+
+
+# The c09 edges (Al 1/8, 1/16, 1/32 at b = 2), the collapsed 1/32 plateau
+# and whole plateaus below and above b = 1, each in its a-priori window,
+# plus a continuation cone around Bl 1/3 at b = 2.
+PARITY_CASES = [(2.0, Fraction(1, q), PLUS, ("left",), None) for q in (8, 16, 32)] + [
+    (2.0, Fraction(1, 32), PLUS, ("left", "right"), None),
+    (2.0, Fraction(1, 16), PLUS, ("left", "right"), None),
+    (2.0, Fraction(1, 3), MINUS, ("left", "right"), None),
+    (0.5, ZERO, PLUS, ("left", "right"), None),
+    (2.0, Fraction(1, 3), PLUS, ("right",), 0.004),
+]
+
+
+def _parity_window(b, r, which, sides, cone):
+    if cone is None:
+        return default_window(b, r)
+    (edge, _, _), = _plain_sign_bisection(b, r, which, sides, default_window(b, r), 1e-8)
+    return (edge - 0.7 * cone, edge + 0.3 * cone)
+
+
+def _check_parity(monkeypatch):
+    """Assert every parity case matches plain bisection; return the cuts that fell back."""
+    fallbacks = []
+    plain = tongues._sign_bisect
+
+    def counting(sgn, cut, window, tol):
+        fallbacks.append(cut)
+        return plain(sgn, cut, window, tol)
+
+    monkeypatch.setattr(tongues, "_sign_bisect", counting)
+    for b, r, which, sides, cone in PARITY_CASES:
+        window = _parity_window(b, r, which, sides, cone)
+        got = _locate_edges(b, r, which, sides, window, 1e-8, 64)
+        assert got == _plain_sign_bisection(b, r, which, sides, window, 1e-8), (b, r, which, sides)
+    return fallbacks
+
+
+def test_locate_edges_matches_plain_sign_bisection(monkeypatch):
+    # The gap only decides which bisection midpoints need a probe, so the
+    # final bracket and seen_zero are those of plain level_sign bisection.
+    assert _check_parity(monkeypatch) == []
+    # The 1/32 plateau at b = 2 is narrower than the bisection: no probe
+    # lands on it, and plateau_edges folds its edges into one midpoint.
+    r = Fraction(1, 32)
+    edges = _locate_edges(2.0, r, PLUS, ("left", "right"), default_window(2.0, r), 1e-8, 64)
+    assert [seen_zero for _, _, seen_zero in edges] == [False, False]
+    left, right = plateau_edges(2.0, r, PLUS)
+    assert left == right
+
+
+def test_wrong_gap_magnitude_is_caught_by_the_end_certificate(monkeypatch):
+    # A gap too small in magnitude gives brackets that miss the edge; the
+    # level_sign check of both final ends rejects the bisection and the plain
+    # one runs again.  A gap too large only loosens the brackets.
+    for scale, fallback in ((1e-3, True), (1e3, False)):
+        monkeypatch.setattr(tongues, "level_gap", lambda *args, scale=scale, **kw: scale * level_gap(*args, **kw))
+        fallbacks = _check_parity(monkeypatch)
+        assert bool(fallbacks) == fallback, (scale, fallbacks)
+
+
+def test_nan_gap_is_never_a_bracket(monkeypatch):
+    # A nan gap leaves the bracket as it was and hands its probe to level_sign.
+    calls = itertools.count()
+    for nan_at in (lambda: True, lambda: next(calls) % 2 == 0):
+        monkeypatch.setattr(
+            tongues, "level_gap", lambda *args, nan_at=nan_at, **kw: math.nan if nan_at() else level_gap(*args, **kw)
+        )
+        assert _check_parity(monkeypatch) == []
