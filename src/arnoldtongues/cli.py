@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -118,6 +120,8 @@ def _check_outputs(*paths: Optional[str]) -> None:
 
 def _cmd_lift(args) -> Dict:
     p = Params(args.a, args.b)
+    if args.x is not None and not math.isfinite(args.x):
+        raise ValueError(f"x must be finite, got {args.x!r}")
     out: Dict = {"a": p.a, "b": p.b}
     if args.x is not None:
         out["value"] = eval_lift(p, args.x)
@@ -351,7 +355,9 @@ def _cmd_audit(args) -> Dict:
     }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="arnold-tongues",
         description="Rotation intervals and tongue boundaries of the standard "

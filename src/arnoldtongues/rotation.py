@@ -231,10 +231,13 @@ def rho_monotone(
     within 1/n of the true rotation number regardless of x0.  The estimate
     is then snapped to the nearest rational with denominator at most q_max
     inside the error bound; the snap is reported only when the exact
-    level-set certificate confirms it.  Pass q_max=0 to skip snapping.
+    level-set certificate confirms it.  Pass q_max=0 to skip snapping;
+    a negative q_max is a ValueError.
     """
     if n_iter < 1:
         raise ValueError(f"n_iter must be >= 1, got {n_iter!r}")
+    if q_max < 0:
+        raise ValueError(f"q_max must be >= 0, got {q_max!r}")
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0!r}")
     # float(x0): an int x0 would otherwise take _iterate's array path.

@@ -27,8 +27,6 @@ from .maps import MINUS, PLUS, TWO_PI, Params, _plateau, envelope
 from .rotation import Rational, _iterate, rho_exact_rational_test
 from .tongues import BoundaryCurve, Region
 
-WORKERS_ENV = "ARNOLDTONGUES_WORKERS"
-
 # Defaults for raster cells: iteration count and snapping.
 RASTER_N_ITER = 1000
 RASTER_Q_MAX = 32
@@ -178,18 +176,6 @@ def _snap_grid(values: np.ndarray, tol: float, q_max: int) -> List[List[Optional
     ]
 
 
-def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "")
-        try:
-            workers = int(raw)
-        except ValueError:
-            workers = 1
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return max(1, workers)
-
-
 def raster(
     a_min: float,
     a_max: float,
@@ -208,9 +194,9 @@ def raster(
     edge.  Each endpoint estimate carries the 1/n_iter error bound and is
     snapped to a rational with denominator at most q_max within twice that
     bound.  With certify=True every snap is additionally checked against
-    the exact level certificate (much slower).  workers=None reads the
-    ARNOLDTONGUES_WORKERS environment variable (0 = one per CPU); output
-    bytes do not depend on the worker count.
+    the exact level certificate (much slower).  workers=None means one
+    worker and 0 one per CPU; output bytes do not depend on the worker
+    count.
     """
     if na < 1 or nb < 1:
         raise ValueError(f"grid must be at least 1x1, got {na}x{nb}")
@@ -228,7 +214,7 @@ def raster(
         raise ValueError(f"q_max must be >= 1, got {q_max!r}")
     avec = _cell_centers(a_min, a_max, na)
     bvec = _cell_centers(b_min, b_max, nb)
-    n_workers = _resolve_workers(workers)
+    n_workers = 1 if workers is None else workers or os.cpu_count() or 1
     rows = min(_BLOCK_ROWS, -(-nb // n_workers))
     blocks = [(bvec[j : j + rows], avec, n_iter) for j in range(0, nb, rows)]
     if n_workers == 1 or len(blocks) == 1:

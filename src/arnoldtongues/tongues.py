@@ -22,9 +22,9 @@ rises in a with slope at least 1, so each evaluation at a brackets the
 edge between a and a - phi.  A few secant-seeded evaluations narrow the
 bracket below tol; the bisection midpoints outside it need no
 computation.  Both ends of the final bracket are certified with
-level_sign, and plain level_sign bisection runs again if either fails.
-While level_sign is monotone in a, the edges are therefore bit for bit
-those of plain bisection.
+level_sign; if either fails, the loop runs again with a gap that is always
+nan, which is plain level_sign bisection.  While level_sign is monotone
+in a, the edges are therefore bit for bit those of plain bisection.
 """
 
 from __future__ import annotations
@@ -231,20 +231,9 @@ def _gap_bisect(
     return bisect(above_cut, a_window[0], a_window[1], -1.0, tol)
 
 
-def _sign_bisect(
-    sgn: Callable[[float], int], c: int, a_window: Tuple[float, float], tol: float
-) -> Tuple[float, float, bool]:
-    """Plain bisection of the cut c on sgn: final bracket and whether any probe returned 0."""
-    seen_zero = False
-
-    def above_cut(a: float) -> float:
-        nonlocal seen_zero
-        s = sgn(a)
-        seen_zero = seen_zero or s == 0
-        return 1.0 if s > c else -1.0
-
-    lo, hi = bisect(above_cut, a_window[0], a_window[1], -1.0, tol)
-    return lo, hi, seen_zero
+def _no_gap(a: float) -> float:
+    """A level gap that decides nothing: _gap_bisect then bisects on sgn alone."""
+    return math.nan
 
 
 def _locate_edges(
@@ -264,7 +253,8 @@ def _locate_edges(
     otherwise BadWindowError.  Both ends are probed once for all sides.
     The bisection is decided from the level gap (_gap_bisect) and its final
     bracket is kept only when s certifies both ends, s(lo) <= c < s(hi);
-    otherwise the plain bisection on s runs again.  Returns one (edge,
+    otherwise _gap_bisect runs again with _no_gap, which probes s at every
+    midpoint, so its ends certify by construction.  Returns one (edge,
     final bracket width, whether a bisection probe of s would return 0)
     per side; that is whether the inner end of the bracket, lo for the
     right edge and hi for the left, was probed and lies on the plateau.
@@ -292,13 +282,13 @@ def _locate_edges(
         def gap(a: float) -> float:
             return level_gap(lift(a), r, s, q_max=q_max)
 
-        lo, hi = _gap_bisect(gap, sgn, c, a_window, tol)
-        end_lo = s_lo if lo == lo_w else sgn(lo)
-        end_hi = s_hi if hi == hi_w else sgn(hi)
-        if end_lo <= c < end_hi:
-            seen_zero = (lo > lo_w and end_lo == 0) if c == 0 else (hi < hi_w and end_hi == 0)
-        else:
-            lo, hi, seen_zero = _sign_bisect(sgn, c, a_window, tol)
+        for decide in (gap, _no_gap):
+            lo, hi = _gap_bisect(decide, sgn, c, a_window, tol)
+            end_lo = s_lo if lo == lo_w else sgn(lo)
+            end_hi = s_hi if hi == hi_w else sgn(hi)
+            if end_lo <= c < end_hi:
+                break
+        seen_zero = (lo > lo_w and end_lo == 0) if c == 0 else (hi < hi_w and end_hi == 0)
         edges.append((0.5 * (lo + hi), hi - lo, seen_zero))
     return edges
 

@@ -114,6 +114,10 @@ def test_usage_error_exit_codes(capsys, tmp_path):
         ["trace", "--kind", "Bl", "--rot", "0/1", "--b-min", "1", "--b-max", "2", "--step", "inf"],
         ["snap", "--value", "0.5", "--tol", "nan"],
         ["rho", "--a", "1e308", "--b", "2"],
+        ["lift", "--a", "0.3", "--b", "2", "--x", "nan", "--json"],
+        ["lift", "--a", "0.3", "--b", "2", "--x", "inf", "--schwarzian"],
+        ["rho", "--a", "0.3", "--b", "2", "--q-max", "-1"],
+        ["interval", "--a", "0.3", "--b", "2", "--q-max", "-1"],
         ["audit-lipschitz", "--in", str(short)],
         ["audit-lipschitz", "--in", str(zero_q)],
         ["audit-lipschitz", "--in", str(not_a_number)],
@@ -197,6 +201,32 @@ def test_q_max_default_per_subcommand(capsys):
     ):
         assert parser.parse_args(argv).q_max == 64, argv
     assert parser.parse_args(ras + ["--na", "1", "--nb", "1", "--q-max", "7"]).q_max == 7
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # Alternating subcommands through the one shared parser give the stdout
+    # and exit code of a first call; raster's q_max of 32 leaks nowhere.
+    ras = ["raster", "--a-min", "0", "--a-max", "1", "--b-min", "0", "--b-max", "1"]
+    ras += ["--na", "2", "--nb", "2", "--n-iter", "50", "--json"]
+    snap = ["snap", "--value", "0.5", "--tol", "0.1", "--json"]
+    rho = ["rho", "--a", "0.025", "--b", "0.5", "--test", "1/40"]
+    nan_x = ["lift", "--a", "0", "--b", "1", "--x", "nan"]
+
+    def run(argv):
+        rc = main(argv)
+        return rc, capsys.readouterr().out
+
+    first = {}
+    for argv in (ras, snap, rho, nan_x):
+        _build_parser.cache_clear()
+        first[tuple(argv)] = run(argv)
+    assert json.loads(first[tuple(snap)][1])["q_max"] == 64
+    assert first[tuple(rho)][0] == 0 and first[tuple(nan_x)] == (2, "")
+    _build_parser.cache_clear()
+    for argv in (ras, snap, ras, rho, nan_x, snap, rho, ras):
+        assert run(argv) == first[tuple(argv)], argv
+    assert _build_parser.cache_info().misses == 1
+    assert _build_parser() is _build_parser()
 
 
 def test_lift_full_report(capsys):

@@ -67,6 +67,9 @@ def test_rho_validation():
     for x0 in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="x0 must be finite"):
             rho_monotone(m, x0=x0)
+    # q_max=0 skips the certificate; a negative one is an error, not a skip
+    with pytest.raises(ValueError, match="q_max must be >= 0"):
+        rho_monotone(m, q_max=-1)
     # a finite offset so large that the winding overflows to inf
     for b in (0.5, 2.0):
         with pytest.raises(ValueError, match="offset a = 1e\\+308"):

@@ -25,6 +25,7 @@ from arnoldtongues import (
     snap_rational,
     trace_curve,
 )
+from arnoldtongues import sweep
 from arnoldtongues.sweep import _BLOCK_ROWS, _plateau_rows, _snap_grid
 
 TWO_PI = 2.0 * math.pi
@@ -89,7 +90,7 @@ def _bits(x):
     return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
 
 
-def test_raster_worker_invariance(monkeypatch):
+def test_raster_worker_invariance():
     kw = dict(a_min=0.0, a_max=1.0, b_min=0.0, b_max=3.0, na=4, nb=3, n_iter=150)
     # more rows than one block holds, split unevenly for one and two workers
     kw_blocks = dict(kw, b_max=4.0, na=3, nb=_BLOCK_ROWS + 3, n_iter=60)
@@ -101,9 +102,16 @@ def test_raster_worker_invariance(monkeypatch):
         assert serial.lock_lo == parallel.lock_lo and serial.lock_hi == parallel.lock_hi
         assert render_ppm(serial) == render_ppm(parallel)
 
+
+def test_raster_default_is_one_worker(monkeypatch):
+    # workers=None runs in this process whatever the environment holds.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a process pool")
+
     monkeypatch.setenv("ARNOLDTONGUES_WORKERS", "2")
-    from_env = raster(workers=None, **kw)
-    assert render_ppm(from_env) == render_ppm(raster(workers=1, **kw))
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+    kw = dict(a_min=0.0, a_max=1.0, b_min=0.0, b_max=3.0, na=3, nb=4, n_iter=60)
+    assert render_ppm(raster(workers=None, **kw)) == render_ppm(raster(workers=1, **kw))
 
 
 def test_raster_block_rows_match_single_rows():

@@ -365,13 +365,14 @@ def _parity_window(b, r, which, sides, cone):
 def _check_parity(monkeypatch):
     """Assert every parity case matches plain bisection; return the cuts that fell back."""
     fallbacks = []
-    plain = tongues._sign_bisect
+    gap_bisect = tongues._gap_bisect
 
-    def counting(sgn, cut, window, tol):
-        fallbacks.append(cut)
-        return plain(sgn, cut, window, tol)
+    def counting(gap, sgn, cut, window, tol):
+        if gap is tongues._no_gap:
+            fallbacks.append(cut)
+        return gap_bisect(gap, sgn, cut, window, tol)
 
-    monkeypatch.setattr(tongues, "_sign_bisect", counting)
+    monkeypatch.setattr(tongues, "_gap_bisect", counting)
     for b, r, which, sides, cone in PARITY_CASES:
         window = _parity_window(b, r, which, sides, cone)
         got = _locate_edges(b, r, which, sides, window, 1e-8, 64)
