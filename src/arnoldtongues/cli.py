@@ -122,6 +122,8 @@ def _cmd_lift(args) -> Dict:
     p = Params(args.a, args.b)
     if args.x is not None and not math.isfinite(args.x):
         raise ValueError(f"x must be finite, got {args.x!r}")
+    if args.x is None and (args.order or args.schwarzian):
+        raise ValueError("--order and --schwarzian need --x")
     out: Dict = {"a": p.a, "b": p.b}
     if args.x is not None:
         out["value"] = eval_lift(p, args.x)

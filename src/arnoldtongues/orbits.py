@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AmbiguityError, NoOrbitError
 from .maps import Params, critical_points, deriv, eval_lift
-from .rotation import Q_MAX_DEFAULT, Rational, _closure, _dips
+from .rotation import Q_MAX_DEFAULT, Rational, _closure, _dips, _level_grid
 from .solvers import bisect
 
 SUPERATTRACTING = "superattracting"
@@ -118,18 +118,18 @@ def find_periodic_orbits(
     for this family means r lies outside the rotation interval.
     """
     r = Rational(r)
-    closure = _closure(partial(eval_lift, p), r, q_max)
     q, p_num = r.denominator, r.numerator
-    n = SCAN_DENSITY * q
-    grid = np.arange(n, dtype=float) / n
-    g = closure(grid)
+    grid, g = _level_grid(partial(eval_lift, p), r, q_max, SCAN_DENSITY)
+    n = len(grid)
+    closure = _closure(p, r)
     half_cell = 0.5 / n
 
     roots: List[Tuple[float, float]] = []  # (location, |G| there)
     sign_change = (g * np.roll(g, -1)) < 0.0
     for i in np.nonzero(sign_change)[0]:
         # The bracket is 1/n <= 2**-12 wide, so 28 halvings reach 1e-12.
-        lo, hi = bisect(closure, grid[i], grid[i] + 1.0 / n, g[i], 1e-12)
+        lo = float(grid[i])
+        lo, hi = bisect(closure, lo, lo + 1.0 / n, float(g[i]), 1e-12)
         x = _newton_polish(closure, p, q, 0.5 * (lo + hi))
         roots.append((x, abs(closure(x))))
     for i in np.nonzero(g == 0.0)[0]:

@@ -6,9 +6,12 @@ possible, certified to equal a nearby rational exactly.  A lift with a
 decreasing lap has a whole interval of rotation numbers, bounded by the
 rotation numbers of its two monotone envelopes.
 
-The rotation estimate and the level function G = f^q - x - p (_closure)
-iterate through one kernel, _iterate.  The certificate and the orbit scan
-in orbits share G and its dip search (_dips).
+The level function G = f^q - x - p is evaluated on grids by the array
+kernel _iterate (_level_grid) and at single points by the fused scalar
+kernel _scalar_iterate (_closure), which applies the same operations in
+the same order with math; the rotation estimate runs on the scalar one.
+The certificate and the orbit scan in orbits share G and its dip search
+(_dips).
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from .maps import MINUS, PLUS, ArrayLike, MonotoneLift, Params, envelope, eval_lift
+from .maps import MINUS, PLUS, TWO_PI, ArrayLike, MonotoneLift, Params, envelope, eval_lift
 from .solvers import golden_min
 
 # Rational values are plain stdlib fractions throughout the package.
@@ -66,25 +69,64 @@ class RotationInterval:
         return self.hi.value - self.lo.value
 
 
-def _iterate(f: Callable[[ArrayLike], ArrayLike], x: ArrayLike, n: int) -> ArrayLike:
-    """n-fold application of the lift f (m.eval or a raw lift), mod-1 reduced.
+def _iterate(f: Callable[[np.ndarray], np.ndarray], x: ArrayLike, n: int) -> np.ndarray:
+    """n-fold application of the lift f (m.eval or a raw lift) to an array x, mod-1 reduced.
 
     The integer winding is accumulated separately so the trigonometric
-    part is always evaluated on a small argument.  As in maps.eval_lift, a
-    float x (numpy float64 included) takes math.floor and anything else is
-    iterated as a float array with np.floor.
+    part is always evaluated on a small argument.  x is iterated as a float
+    array with np.floor; float callers use _scalar_iterate, which applies
+    the same operations in the same order with math.
     """
-    if isinstance(x, float):
-        y, floor, wind = x, math.floor, 0.0
-    else:
-        y = np.array(x, dtype=float)
-        floor, wind = np.floor, np.zeros_like(y)
+    y = np.array(x, dtype=float)
+    wind = np.zeros_like(y)
     for _ in range(n):
         y = f(y)
-        k = floor(y)
+        k = np.floor(y)
         wind += k
         y -= k
     return y + wind
+
+
+def _scalar_iterate(lift: Union[MonotoneLift, Params]) -> Callable[[float, int], float]:
+    """it(x, n), the n-fold _iterate of the lift at one float x as one fused loop over math.
+
+    lift is a MonotoneLift (raw for b <= 1, or an envelope with a plateau)
+    or a raw Params lift.  Its a, b/2pi and plateau geometry are bound once,
+    and each step applies the operations of maps.eval_lift and
+    MonotoneLift.eval in their order, so it(x, n) is a float equal to the
+    matching element of the array _iterate bit for bit wherever numpy's sin
+    rounds like math.sin.  A non-finite x is a ValueError, never a number.
+    """
+    raw, start = (lift, None) if isinstance(lift, Params) else (lift.base, lift.plateau_start)
+    a, c = raw.a, raw.b / TWO_PI
+    sin, floor, isfinite = math.sin, math.floor, math.isfinite
+    if start is not None:
+        end, value = lift.plateau_end, lift.plateau_value
+        # Fold into the envelope's window [wstart, wstart + 1); the plateau is
+        # its initial segment for PLUS and its final segment for MINUS.  The
+        # infinite bound of [lo, hi] makes the one test t <= end or t >= start.
+        if lift.which == PLUS:
+            wstart, lo, hi = start, -math.inf, end
+        else:
+            wstart, lo, hi = end - 1.0, start, math.inf
+
+    def it(x: float, n: int) -> float:
+        y, wind = float(x), 0.0
+        if not isfinite(y):
+            raise ValueError(f"x must be finite, got {x!r}")
+        for _ in range(n):
+            if start is None:
+                y = y + a + c * sin(TWO_PI * y)
+            else:
+                m = floor(y - wstart)
+                t = y - m
+                y = (value if lo <= t <= hi else t + a + c * sin(TWO_PI * t)) + m
+            k = floor(y)
+            wind += k
+            y -= k
+        return y + wind
+
+    return it
 
 
 def snap_rational(value: float, tol: float, q_max: int) -> Optional[Rational]:
@@ -109,14 +151,14 @@ def snap_rational(value: float, tol: float, q_max: int) -> Optional[Rational]:
     return best
 
 
-def _closure(f: Callable[[ArrayLike], ArrayLike], r: Rational, q_max: int, s: int = 1) -> Callable:
-    """s*G for the level function G(x) = f^q(x) - x - p of r = p/q and s = +-1."""
-    if r.denominator > q_max:
-        raise ValueError(f"denominator {r.denominator} exceeds q_max={q_max}")
-    q, p_num = r.denominator, r.numerator
-    if s == 1:  # no multiply: one per golden-section probe cost 2 % on the trace benchmark
-        return lambda x: _iterate(f, x, q) - x - p_num
-    return lambda x: s * (_iterate(f, x, q) - x - p_num)
+def _closure(lift: Union[MonotoneLift, Params], r: Rational, s: int = 1) -> Callable:
+    """s*G at a float x for s = +-1, with f^q by the fused kernel _scalar_iterate(lift)."""
+    it, q, p_num = _scalar_iterate(lift), r.denominator, r.numerator
+    # No sign change for s = 1: a multiply per golden-section probe once cost
+    # 2 % on the trace benchmark.
+    if s == 1:
+        return lambda x: it(x, q) - x - p_num
+    return lambda x: -(it(x, q) - x - p_num)
 
 
 def _cyclic_minima(values: np.ndarray) -> np.ndarray:
@@ -141,17 +183,26 @@ def _dips(
     between grid points are the only way a grid misses a zero of G.
     """
     h = 1.0 / len(grid)
-    for x in grid[_cyclic_minima(values) & keep]:
+    # Python floats: numpy scalars would make every golden-section step numpy arithmetic.
+    for x in grid[_cyclic_minima(values) & keep].tolist():
         xm = golden_min(f, x - h, x + h, xtol=xtol)
         yield xm, f(xm)
 
 
-def _level_grid(m: MonotoneLift, r: Rational, q_max: int) -> Tuple[Callable, np.ndarray, np.ndarray]:
-    """G of level_sign and level_gap, their grid of max(64, 8q) points and G on it."""
-    n_grid = max(64, 8 * r.denominator)
+def _level_grid(
+    f: Callable[[np.ndarray], np.ndarray], r: Rational, q_max: int, density: int = 8
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The grid arange(n)/n, n = max(64, density*q), and G(x) = f^q(x) - x - p of r = p/q on it.
+
+    G runs through the array _iterate.  The default density is level_sign's
+    and level_gap's; the orbit scan passes its own.
+    """
+    q = r.denominator
+    if q > q_max:
+        raise ValueError(f"denominator {q} exceeds q_max={q_max}")
+    n_grid = max(64, density * q)
     grid = np.arange(n_grid, dtype=float) / n_grid
-    closure = _closure(m.eval, r, q_max)
-    return closure, grid, closure(grid)
+    return grid, _iterate(f, grid, q) - grid - r.numerator
 
 
 def level_sign(m: MonotoneLift, r: Rational, q_max: int = Q_MAX_DEFAULT) -> int:
@@ -169,16 +220,16 @@ def level_sign(m: MonotoneLift, r: Rational, q_max: int = Q_MAX_DEFAULT) -> int:
     so only the dips of s*G (_dips, shared with the orbit scan) are
     sharpened.  Values within the zero band TOLZ count as zero.
     """
-    closure, grid, g = _level_grid(m, r, q_max)
+    grid, g = _level_grid(m.eval, r, q_max)
     # A nan anywhere in g fails both tests, so a nan grid returns 0.
     if float(np.min(g)) > TOLZ:
         s = 1
     elif float(np.max(g)) < -TOLZ:
-        s, closure = -1, _closure(m.eval, r, q_max, -1)
+        s = -1
     else:
         # Both signs (or a touch) already visible on the raw grid.
         return 0
-    for _, sg in _dips(closure, grid, s * g):
+    for _, sg in _dips(_closure(m, r, s), grid, s * g):
         if sg <= TOLZ:
             return 0
     return s
@@ -198,12 +249,14 @@ def level_gap(m: MonotoneLift, r: Rational, s: int, q_max: int = Q_MAX_DEFAULT) 
     For the envelopes, d(m^q)/da >= 1, so phi rises in a with slope at
     least 1 and the zero of phi, a plateau edge, lies between a and a - phi.
     """
-    closure, grid, g = _level_grid(m, r, q_max)
+    grid, g = _level_grid(m.eval, r, q_max)
     if s == -1:
-        closure, g = _closure(m.eval, r, q_max, -1), -g
+        g = -g
     low = float(np.min(g))
-    for _, sg in _dips(closure, grid, g):
-        low = min(low, sg)  # keeps a nan low and skips a nan sg, as level_sign does
+    if math.isnan(low):
+        return low  # a nan on the grid decides nothing, whatever the dips hold
+    for _, sg in _dips(_closure(m, r, s), grid, g):
+        low = min(low, sg)
     return float(s * (low - (TOLZ if s == 1 else math.nextafter(TOLZ, math.inf))))
 
 
@@ -240,8 +293,7 @@ def rho_monotone(
         raise ValueError(f"q_max must be >= 0, got {q_max!r}")
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0!r}")
-    # float(x0): an int x0 would otherwise take _iterate's array path.
-    value = (_iterate(m.eval, float(x0), n_iter) - x0) / n_iter
+    value = (_scalar_iterate(m)(x0, n_iter) - x0) / n_iter
     if not math.isfinite(value):
         raise ValueError(f"rotation estimate overflowed: offset a = {m.base.a!r} is too large")
     bound = 1.0 / n_iter

@@ -5,8 +5,11 @@ golden-section minimiser.  Both are branch-free in the sense that the same
 inputs always produce the same floating point outputs, which keeps sweep
 artifacts byte-reproducible across runs.  Across platforms the bytes match
 only where numpy's sin and cos round exactly like the C library's math.sin
-and math.cos, because scalar lift evaluations go through math and array
-evaluations through numpy (see maps.eval_lift).
+and math.cos, because grids and raster blocks are evaluated with numpy
+while every scalar evaluation goes through math: the points these solvers
+probe and the rotation estimate run on the fused kernel
+rotation._scalar_iterate, and the plateau ends, the orbit scan's Newton
+derivative and single-point queries on maps.eval_lift and maps.deriv.
 
 bisect is the package's only bisection loop: plateau ends, orbit roots,
 tongue edges and curve crossings all go through it.

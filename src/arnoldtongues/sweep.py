@@ -195,8 +195,8 @@ def raster(
     snapped to a rational with denominator at most q_max within twice that
     bound.  With certify=True every snap is additionally checked against
     the exact level certificate (much slower).  workers=None means one
-    worker and 0 one per CPU; output bytes do not depend on the worker
-    count.
+    worker and 0 one per CPU, and no more processes start than there are
+    row blocks; output bytes do not depend on the worker count.
     """
     if na < 1 or nb < 1:
         raise ValueError(f"grid must be at least 1x1, got {na}x{nb}")
@@ -220,7 +220,7 @@ def raster(
     if n_workers == 1 or len(blocks) == 1:
         parts = [_raster_block(blk) for blk in blocks]
     else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(blocks))) as pool:
             parts = list(pool.map(_raster_block, blocks))
     rho_minus = np.vstack([part[0] for part in parts])
     rho_plus = np.vstack([part[1] for part in parts])

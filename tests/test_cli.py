@@ -116,6 +116,9 @@ def test_usage_error_exit_codes(capsys, tmp_path):
         ["rho", "--a", "1e308", "--b", "2"],
         ["lift", "--a", "0.3", "--b", "2", "--x", "nan", "--json"],
         ["lift", "--a", "0.3", "--b", "2", "--x", "inf", "--schwarzian"],
+        ["lift", "--a", "0", "--b", "1", "--order", "2", "--schwarzian"],
+        ["lift", "--a", "0", "--b", "1", "--order", "2"],
+        ["lift", "--a", "0", "--b", "1", "--schwarzian"],
         ["rho", "--a", "0.3", "--b", "2", "--q-max", "-1"],
         ["interval", "--a", "0.3", "--b", "2", "--q-max", "-1"],
         ["audit-lipschitz", "--in", str(short)],

@@ -6,6 +6,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arnoldtongues import (
     MINUS,
@@ -22,7 +24,7 @@ from arnoldtongues import (
     snap_rational,
 )
 from arnoldtongues import rotation
-from arnoldtongues.rotation import TOLZ, _cyclic_minima, _iterate, level_gap
+from arnoldtongues.rotation import TOLZ, _cyclic_minima, _iterate, _scalar_iterate, level_gap
 from arnoldtongues.solvers import golden_min
 
 TWO_PI = 2.0 * math.pi
@@ -252,22 +254,55 @@ def test_bruteforce_two_sided_below_critical_coupling(rng):
         assert abs(bhi - ri.hi.value) <= slack
 
 
+def _kernel_lifts(a, b):
+    """(lift, array f) at (a, b): the raw Params lift and both envelopes (raw lifts for b <= 1)."""
+    p = Params(a, b)
+    up, down = envelope(p, PLUS), envelope(p, MINUS)
+    return [(p, partial(eval_lift, p)), (up, up.eval), (down, down.eval)]
+
+
 def test_iterate_scalar_path_matches_array_path():
-    # The kernel's math.floor path and np.floor path must agree bit for bit,
-    # for the raw lift and for envelopes with a plateau.
+    # The fused kernel's math path and the array _iterate's numpy path must agree bit
+    # for bit: raw lifts with b < 1 and b > 1, both envelopes, plateau ends and their
+    # +1 shifts, float and np.float64 inputs, short and long orbits.
     p = Params(0.27, 2.6)
     up, down = envelope(p, PLUS), envelope(p, MINUS)
     ends = [up.plateau_start, up.plateau_end, down.plateau_start, down.plateau_end]
     xs = np.concatenate([np.linspace(-1.5, 2.5, 37), ends, np.add(ends, 1.0)])
-    maps = [partial(eval_lift, Params(0.1, 0.8)), partial(eval_lift, p), up.eval, down.eval]
-    for f in maps:
-        for n in (1, 3, 40):
+    lifts = _kernel_lifts(0.1, 0.8) + _kernel_lifts(0.27, 2.6)
+    for lift, f in lifts:
+        it = _scalar_iterate(lift)
+        for n in (1, 3, 40, 2000):
             before = xs.copy()
-            arr = _iterate(f, xs, n)
+            arr = [float(y).hex() for y in _iterate(f, xs, n)]
             assert np.array_equal(xs, before)
-            scal = [_iterate(f, float(x), n) for x in xs]
-            assert all(type(y) is float for y in scal)
-            assert [y.hex() for y in scal] == [float(y).hex() for y in arr]
+            for x_type in (float, np.float64):
+                scal = [it(x_type(x), n) for x in xs]
+                assert all(type(y) is float for y in scal)
+                assert [y.hex() for y in scal] == arr, (lift, n, x_type)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(-3.0, 3.0),
+    b=st.floats(0.0, 5.0),
+    x=st.floats(-4.0, 4.0),
+    q=st.integers(1, 8),
+    shape=st.integers(0, 2),
+)
+def test_scalar_iterate_matches_array_iterate_property(a, b, x, q, shape):
+    lift, f = _kernel_lifts(a, b)[shape]
+    y = _scalar_iterate(lift)(x, q)
+    assert type(y) is float
+    assert y.hex() == float(_iterate(f, np.array([x]), q)[0]).hex()
+
+
+def test_scalar_iterate_rejects_non_finite_x():
+    for lift, _ in _kernel_lifts(0.1, 0.8) + _kernel_lifts(0.27, 2.6):
+        it = _scalar_iterate(lift)
+        for x in (math.nan, math.inf, -math.inf, np.float64("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                it(x, 3)
 
 
 def test_cyclic_minima_matches_roll_mask(rng):

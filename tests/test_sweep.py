@@ -114,6 +114,30 @@ def test_raster_default_is_one_worker(monkeypatch):
     assert render_ppm(raster(workers=None, **kw)) == render_ppm(raster(workers=1, **kw))
 
 
+def test_raster_pool_is_capped_at_the_block_count(monkeypatch):
+    # Two rows at four workers make two blocks, so the pool needs only two processes.
+    # The recorder maps in this process and starts none.
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", Recorder)
+    kw = dict(a_min=0.0, a_max=1.0, b_min=0.0, b_max=3.0, na=3, nb=2, n_iter=50)
+    assert render_ppm(raster(workers=4, **kw)) == render_ppm(raster(workers=1, **kw))
+    assert seen == [2]
+
+
 def test_raster_block_rows_match_single_rows():
     # rows on both sides of b = 1, one of them exactly at it
     kw = dict(a_min=-0.4, a_max=1.3, na=7, n_iter=250, workers=1)
