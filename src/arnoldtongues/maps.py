@@ -151,7 +151,7 @@ class MonotoneLift:
     For b > 1 it is constant at plateau_value on [plateau_start, plateau_end],
     an interval that depends on b alone; the lower envelope's is the upper
     one's reflected through x -> 1 - x.  Both envelopes commute with integer
-    translation, so a single plateau description covers the whole line.
+    translation, so one plateau and its fold (_fold) cover the whole line.
     """
 
     base: Params
@@ -160,39 +160,28 @@ class MonotoneLift:
     plateau_end: Optional[float]
     plateau_value: Optional[float]
 
-    def eval(self, x: ArrayLike) -> ArrayLike:
-        """Evaluate the monotone lift at x (scalar or array).
+    @property
+    def _fold(self) -> Optional[Tuple[float, float, float]]:
+        """(w, lo, hi): x folds into t in [w, w + 1), flat where lo <= t <= hi; None if no plateau.
 
-        Float and array inputs are evaluated as in eval_lift.
+        The one fold that eval, rotation._scalar_iterate and the raster read.
         """
         if self.plateau_start is None:
-            return eval_lift(self.base, x)
-        scalar = isinstance(x, float)
-        if scalar:
-            if not math.isfinite(x):
-                return math.nan
-            xv, floor = float(x), math.floor
-        else:
-            xv, floor = np.asarray(x, dtype=float), np.floor
+            return None
         if self.which == PLUS:
-            # Fold into [plateau_start, plateau_start + 1): the plateau is
-            # the initial segment [plateau_start, plateau_end] of the window.
-            n = floor(xv - self.plateau_start)
-            t = xv - n
-            flat = t <= self.plateau_end
-        else:
-            # Window [plateau_end - 1, plateau_end): the plateau is the final
-            # segment [plateau_start, plateau_end] of the window.
-            wstart = self.plateau_end - 1.0
-            n = floor(xv - wstart)
-            t = xv - n
-            flat = t >= self.plateau_start
-        if scalar:
-            return (self.plateau_value if flat else eval_lift(self.base, t)) + n
-        val = np.where(flat, self.plateau_value, eval_lift(self.base, t)) + n
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(val)
-        return val
+            return self.plateau_start, -math.inf, self.plateau_end
+        return self.plateau_end - 1.0, self.plateau_start, math.inf
+
+    def eval(self, x: ArrayLike) -> ArrayLike:
+        """Evaluate the monotone lift at x with numpy; a scalar x gives a float."""
+        if self._fold is None:
+            return eval_lift(self.base, x)
+        w, lo, hi = self._fold
+        xv = np.asarray(x, dtype=float)
+        n = np.floor(xv - w)
+        t = xv - n
+        val = np.where((lo <= t) & (t <= hi), self.plateau_value, eval_lift(self.base, t)) + n
+        return float(val) if np.ndim(val) == 0 else val
 
 
 @functools.lru_cache(maxsize=1024)

@@ -91,34 +91,28 @@ def _scalar_iterate(lift: Union[MonotoneLift, Params]) -> Callable[[float, int],
     """it(x, n), the n-fold _iterate of the lift at one float x as one fused loop over math.
 
     lift is a MonotoneLift (raw for b <= 1, or an envelope with a plateau)
-    or a raw Params lift.  Its a, b/2pi and plateau geometry are bound once,
-    and each step applies the operations of maps.eval_lift and
-    MonotoneLift.eval in their order, so it(x, n) is a float equal to the
-    matching element of the array _iterate bit for bit wherever numpy's sin
-    rounds like math.sin.  A non-finite x is a ValueError, never a number.
+    or a raw Params lift.  Its a, b/2pi, fold (MonotoneLift._fold) and
+    plateau value are bound once, and each step applies the operations of
+    maps.eval_lift and MonotoneLift.eval in their order, so it(x, n) is a
+    float equal to the matching element of the array _iterate bit for bit
+    wherever numpy's sin rounds like math.sin.  A non-finite x is a
+    ValueError, never a number.
     """
-    raw, start = (lift, None) if isinstance(lift, Params) else (lift.base, lift.plateau_start)
+    raw, fold = (lift, None) if isinstance(lift, Params) else (lift.base, lift._fold)
     a, c = raw.a, raw.b / TWO_PI
     sin, floor, isfinite = math.sin, math.floor, math.isfinite
-    if start is not None:
-        end, value = lift.plateau_end, lift.plateau_value
-        # Fold into the envelope's window [wstart, wstart + 1); the plateau is
-        # its initial segment for PLUS and its final segment for MINUS.  The
-        # infinite bound of [lo, hi] makes the one test t <= end or t >= start.
-        if lift.which == PLUS:
-            wstart, lo, hi = start, -math.inf, end
-        else:
-            wstart, lo, hi = end - 1.0, start, math.inf
+    if fold is not None:
+        (w, lo, hi), value = fold, lift.plateau_value
 
     def it(x: float, n: int) -> float:
         y, wind = float(x), 0.0
         if not isfinite(y):
             raise ValueError(f"x must be finite, got {x!r}")
         for _ in range(n):
-            if start is None:
+            if fold is None:
                 y = y + a + c * sin(TWO_PI * y)
             else:
-                m = floor(y - wstart)
+                m = floor(y - w)
                 t = y - m
                 y = (value if lo <= t <= hi else t + a + c * sin(TWO_PI * t)) + m
             k = floor(y)
@@ -142,12 +136,15 @@ def snap_rational(value: float, tol: float, q_max: int) -> Optional[Rational]:
         raise ValueError(f"q_max must be >= 1, got {q_max!r}")
     best: Optional[Rational] = None
     best_err = tol
-    for q in range(1, q_max + 1):
-        p = round(value * q)
-        err = abs(value - p / q)
-        if err < best_err:
-            best = Fraction(p, q)
-            best_err = err
+    try:
+        for q in range(1, q_max + 1):
+            p = round(value * q)
+            err = abs(value - p / q)
+            if err < best_err:
+                best = Fraction(p, q)
+                best_err = err
+    except OverflowError:  # round(inf): value * q left the float range
+        raise ValueError(f"value {value!r} is too large to snap with q_max={q_max}") from None
     return best
 
 
@@ -322,6 +319,8 @@ def rotation_interval(
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if n_iter is None:
+        if 2.0 / tol == math.inf:
+            raise ValueError(f"tol={tol!r} is too small: 2 / tol overflows")
         n_iter = max(1, math.ceil(2.0 / tol))
     lo = rho_monotone(envelope(p, MINUS), n_iter=n_iter, x0=x0, q_max=q_max)
     hi = rho_monotone(envelope(p, PLUS), n_iter=n_iter, x0=x0, q_max=q_max)

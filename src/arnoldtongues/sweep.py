@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, 
 
 import numpy as np
 
-from .maps import MINUS, PLUS, TWO_PI, Params, _plateau, envelope
+from .maps import MINUS, PLUS, TWO_PI, Params, envelope
 from .rotation import Rational, _iterate, rho_exact_rational_test
 from .tongues import BoundaryCurve, Region
 
@@ -83,19 +83,16 @@ def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (np.arange(n, dtype=float) + 0.5) * ((hi - lo) / n)
 
 
-def _plateau_rows(bvec: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Window start w, flat bounds lo, hi and extremum x_ext of b > 1 rows.
+def _plateau_rows(bvec: np.ndarray) -> np.ndarray:
+    """Fold (w, lo, hi) and plateau value of the a = 0 envelopes of b > 1 rows.
 
     Lower-envelope rows come first, then upper ones, as column vectors.  A
-    row folds y into [w, w + 1) and is flat where lo <= t <= hi: on
-    [1 - s, x_min] for the lower envelope and on [x_max, s] for the upper,
-    with (x_max, s) = maps._plateau(b).  The plateau holds the lift's value
-    at x_ext, the local minimum (lower) or maximum (upper).
+    row folds y into [w, w + 1) and is flat where lo <= t <= hi, as
+    MonotoneLift._fold decides; its flat value at a is the plateau value
+    plus a, since the lift at a is the lift at 0 plus a.
     """
-    x_max, s = np.array([_plateau(b) for b in bvec.tolist()]).T[:, :, None]
-    x_min, inf = 1.0 - x_max, np.full_like(s, np.inf)
-    w = np.vstack([x_min - 1.0, x_max])
-    return w, np.vstack([1.0 - s, -inf]), np.vstack([inf, s]), np.vstack([x_min, x_max])
+    ms = [envelope(Params(0.0, b), which) for which in (MINUS, PLUS) for b in bvec.tolist()]
+    return np.array([(*m._fold, m.plateau_value) for m in ms]).T[:, :, None]
 
 
 def _raster_block(args: Tuple[np.ndarray, np.ndarray, int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -104,10 +101,10 @@ def _raster_block(args: Tuple[np.ndarray, np.ndarray, int]) -> Tuple[np.ndarray,
     The block is iterated as one array by rotation._iterate, a row per b
     and a column per a.  Rows with b <= 1 step the lift itself, which both
     envelopes equal.  Rows with b > 1 step both envelopes at once, the
-    lower envelope's rows stacked above the upper's, with the plateau
-    geometry of _plateau_rows, the same per-b geometry that maps.envelope
-    reads.  Every cell goes through the same operations in the same order
-    whatever the block it is in.
+    lower envelope's rows stacked above the upper's, each folded and
+    flattened as its envelope decides (_plateau_rows).  Every cell goes
+    through the same operations in the same order whatever the block it
+    is in.
     """
     bvec, avec, n_iter = args
     coef = (bvec / TWO_PI)[:, None]
@@ -123,10 +120,9 @@ def _raster_block(args: Tuple[np.ndarray, np.ndarray, int]) -> Tuple[np.ndarray,
         rho_minus[plain] = rho_plus[plain] = rho(lambda y: y + avec + c * np.sin(TWO_PI * y), c)
 
     if not plain.all():
-        w, lo, hi, x_ext = _plateau_rows(bvec[~plain])
+        w, lo, hi, value = _plateau_rows(bvec[~plain])
         c = np.vstack([coef[~plain]] * 2)
-        sin_ext = np.array([[math.sin(TWO_PI * x)] for x in x_ext[:, 0].tolist()])
-        flat_val = x_ext + c * sin_ext + avec
+        flat_val = value + avec
 
         def fold(y: np.ndarray) -> np.ndarray:
             n = np.floor(y - w)

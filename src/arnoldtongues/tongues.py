@@ -159,8 +159,10 @@ def _b_samples(
         raise ValueError(f"empty {name} {b_range!r}")
     if not -math.inf < b_lo <= b_hi < math.inf:
         raise ValueError(f"{name} must be finite, got {b_range!r}")
-    n = int(math.floor((b_hi - b_lo) / step + 1e-9))
-    return (b_lo + i * step for i in range(n + 1))
+    n = (b_hi - b_lo) / step + 1e-9
+    if n == math.inf:
+        raise ValueError(f"{name} {b_range!r} spans too many steps of {step!r}")
+    return (b_lo + i * step for i in range(int(math.floor(n)) + 1))
 
 
 def _secant(p0: Tuple[float, float], p1: Tuple[float, float]) -> float:

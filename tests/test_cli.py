@@ -132,6 +132,11 @@ def test_usage_error_exit_codes(capsys, tmp_path):
         ["region", "--lo", "0/1", "--hi", "1/3", "--b-min", "-1", "--b-max", "0", "--step", "0.5"],
         ["region", "--lo", "0/1", "--hi", "1/3", "--b-min=-inf", "--b-max", "0", "--step", "0.5"],
         ["region", "--lo", "0/1", "--hi", "1/3", "--b-min", "0", "--b-max", "inf", "--step", "0.5"],
+        ["trace", "--kind", "Bl", "--rot", "0/1", "--b-min", "0", "--b-max", "1e300", "--step", "1e-300"],
+        ["region", "--lo", "0/1", "--hi", "1/3", "--b-min", "0", "--b-max", "1e300", "--step", "1e-300"],
+        ["intersect", "--left", "Bl:0/1", "--right", "Br:0/1", "--b-min", "0", "--b-max", "1e300", "--step", "1e-300"],
+        ["interval", "--a", "0.2", "--b", "2", "--tol", "1e-320"],
+        ["snap", "--value", "1e308", "--tol", "1", "--q-max", "2"],
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("usage"), argv

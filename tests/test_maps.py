@@ -77,7 +77,7 @@ def test_eval_scalar_nonfinite_matches_array():
     for f in funcs:
         with np.errstate(invalid="ignore"):
             assert np.all(np.isnan(f(xs)))
-        assert all(math.isnan(f(float(x))) for x in xs)
+            assert all(math.isnan(f(float(x))) for x in xs)
 
 
 def test_plateau_edges_match_array_path_bisection():

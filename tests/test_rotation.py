@@ -143,6 +143,10 @@ def test_snap_validation():
     for value in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="value must be finite"):
             snap_rational(value, 0.1, 10)
+    # value * q overflows at q = 2: a usage error, not round(inf)'s OverflowError
+    for value in (1e308, -1e308):
+        with pytest.raises(ValueError, match="too large to snap"):
+            snap_rational(value, 1.0, 2)
 
 
 def test_interval_below_critical_coupling_is_a_point():
@@ -207,6 +211,12 @@ def test_iteration_count_follows_tolerance():
     ri = rotation_interval(Params(0.2, 0.4), tol=1e-2)
     assert ri.lo.n_iter == 200
     assert ri.hi.n_iter == 200
+
+
+def test_interval_rejects_a_tolerance_whose_iteration_count_overflows():
+    # 2 / 1e-320 is inf, which math.ceil cannot turn into an iteration count
+    with pytest.raises(ValueError, match="too small"):
+        rotation_interval(Params(0.2, 2.0), tol=1e-320)
 
 
 def test_bruteforce_rigid():

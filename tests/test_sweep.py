@@ -14,6 +14,7 @@ from arnoldtongues import (
     Params,
     Region,
     envelope,
+    eval_lift,
     export_csv,
     load_curve_csv,
     load_raster_csv,
@@ -154,16 +155,23 @@ def test_raster_block_rows_match_single_rows():
 def test_raster_reads_the_envelope_plateau_geometry():
     # The raster's windows and flat bounds and the envelopes' plateau ends
     # come from one per-b geometry, so they agree bit for bit at every a.
+    # The flat value is the lift at the extremum for a = 0, which plus a is
+    # the plateau value at a up to the order of the two additions.
     bs = [1.05, 2.0, 3.3, 8.18]
-    w, lo, hi, x_ext = (v[:, 0].tolist() for v in _plateau_rows(np.array(bs)))
+    w, lo, hi, value = (v[:, 0].tolist() for v in _plateau_rows(np.array(bs)))
     n = len(bs)
     for j, b in enumerate(bs):
+        p0 = Params(0.0, b)
         for a in (-0.7, 0.0, 0.3, 1.9):
             down, up = envelope(Params(a, b), MINUS), envelope(Params(a, b), PLUS)
             assert (lo[j], hi[j]) == (down.plateau_start, math.inf)
-            assert (w[j], x_ext[j]) == (down.plateau_end - 1.0, down.plateau_end)
+            assert w[j] == down.plateau_end - 1.0
+            assert value[j] == eval_lift(p0, down.plateau_end)
+            assert math.isclose(value[j] + a, down.plateau_value, rel_tol=0.0, abs_tol=4e-15)
             assert (lo[n + j], hi[n + j]) == (-math.inf, up.plateau_end)
-            assert w[n + j] == x_ext[n + j] == up.plateau_start
+            assert w[n + j] == up.plateau_start
+            assert value[n + j] == eval_lift(p0, up.plateau_start)
+            assert math.isclose(value[n + j] + a, up.plateau_value, rel_tol=0.0, abs_tol=4e-15)
 
 
 def _reference_rho(a, b, which, n_iter):

@@ -187,6 +187,16 @@ def test_scans_reject_infinite_b_range():
             intersect_curves(("Bl", ZERO), ("Br", ZERO), b_range)
 
 
+def test_scans_reject_a_b_range_of_too_many_steps():
+    # (1e300 - 0) / 1e-300 is inf, so the b grid has no finite length
+    with pytest.raises(ValueError, match="too many steps"):
+        region_boundary((ZERO, ONE), (0.0, 1e300), step=1e-300)
+    with pytest.raises(ValueError, match="too many steps"):
+        trace_curve("Bl", ZERO, (0.0, 1e300), step=1e-300)
+    with pytest.raises(ValueError, match="too many steps"):
+        intersect_curves(("Bl", ZERO), ("Br", ZERO), (0.0, 1e300), step=1e-300)
+
+
 def test_unit_interval_region_absent_at_low_coupling():
     reg = region_boundary((ZERO, ONE), (0.5, 0.5), step=1.0)
     assert reg.slices == ()
