@@ -48,7 +48,7 @@ from .sweep import (
 )
 from .tongues import (
     KIND_TO_EDGE,
-    boundary_condition_residuals,
+    _pair_residuals,
     intersect_curves,
     lipschitz_check,
     plateau_edges,
@@ -189,8 +189,9 @@ def _cmd_interval(args) -> Dict:
 def _cmd_orbit(args) -> Dict:
     p = Params(args.a, args.b)
     out: Dict = {"a": p.a, "b": p.b, "label": _frac_str(args.rot)}
+    pair = orbit_pair(p, args.rot, q_max=args.q_max) if args.pair or args.residuals else None
     if args.pair:
-        first, second = orbit_pair(p, args.rot, q_max=args.q_max)
+        first, second = pair
         orbits = [("O", first)] + ([("O_prime", second)] if second else [])
     else:
         orbits = [
@@ -211,7 +212,7 @@ def _cmd_orbit(args) -> Dict:
         records.append(rec)
     out["orbits"] = records
     if args.residuals:
-        res = boundary_condition_residuals(p, args.rot)
+        res = _pair_residuals(p, *pair)
         out["saddle_node"] = res.saddle_node
         out["o_prime_absent"] = res.o_prime_absent
         out["bl_residual"] = res.bl_residual

@@ -36,6 +36,9 @@ Q_MAX_DEFAULT = 64
 # extrema both land within this band is treated as touching zero.
 TOLZ = 1e-13
 
+# Largest iteration count; 1e9 scalar steps already take minutes.
+_N_ITER_MAX = 10**9
+
 
 @dataclass(frozen=True)
 class RhoEstimate:
@@ -121,6 +124,12 @@ def _scalar_iterate(lift: Union[MonotoneLift, Params]) -> Callable[[float, int],
         return y + wind
 
     return it
+
+
+def _check_n_iter(n_iter: int) -> None:
+    """ValueError unless 1 <= n_iter <= _N_ITER_MAX."""
+    if not 1 <= n_iter <= _N_ITER_MAX:
+        raise ValueError(f"n_iter must be in [1, {_N_ITER_MAX}], got {n_iter!r}")
 
 
 def snap_rational(value: float, tol: float, q_max: int) -> Optional[Rational]:
@@ -284,8 +293,7 @@ def rho_monotone(
     level-set certificate confirms it.  Pass q_max=0 to skip snapping;
     a negative q_max is a ValueError.
     """
-    if n_iter < 1:
-        raise ValueError(f"n_iter must be >= 1, got {n_iter!r}")
+    _check_n_iter(n_iter)
     if q_max < 0:
         raise ValueError(f"q_max must be >= 0, got {q_max!r}")
     if not math.isfinite(x0):
@@ -319,8 +327,8 @@ def rotation_interval(
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if n_iter is None:
-        if 2.0 / tol == math.inf:
-            raise ValueError(f"tol={tol!r} is too small: 2 / tol overflows")
+        if 2.0 / tol > _N_ITER_MAX:
+            raise ValueError(f"tol={tol!r} is too small: 2 / tol iterations exceed {_N_ITER_MAX}")
         n_iter = max(1, math.ceil(2.0 / tol))
     lo = rho_monotone(envelope(p, MINUS), n_iter=n_iter, x0=x0, q_max=q_max)
     hi = rho_monotone(envelope(p, PLUS), n_iter=n_iter, x0=x0, q_max=q_max)
@@ -344,8 +352,7 @@ def rho_bounds_bruteforce(
     """
     if n_x0 < 1:
         raise ValueError(f"n_x0 must be >= 1, got {n_x0!r}")
-    if n_iter < 1:
-        raise ValueError(f"n_iter must be >= 1, got {n_iter!r}")
+    _check_n_iter(n_iter)
     tail_start = max(1, n_iter // 2)
     x = np.arange(n_x0, dtype=float) / n_x0
     y = np.array(x)

@@ -24,7 +24,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, 
 import numpy as np
 
 from .maps import MINUS, PLUS, TWO_PI, Params, envelope
-from .rotation import Rational, _iterate, rho_exact_rational_test
+from .rotation import Rational, _check_n_iter, _iterate, rho_exact_rational_test
 from .tongues import BoundaryCurve, Region
 
 # Defaults for raster cells: iteration count and snapping.
@@ -202,8 +202,7 @@ def raster(
         raise ValueError(f"non-finite range: a {a_min!r}..{a_max!r}, b {b_min!r}..{b_max!r}")
     if a_min > a_max or b_min > b_max:
         raise ValueError(f"reversed range: a {a_min!r}..{a_max!r}, b {b_min!r}..{b_max!r}")
-    if n_iter < 1:
-        raise ValueError(f"n_iter must be >= 1, got {n_iter!r}")
+    _check_n_iter(n_iter)
     if workers is not None and workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers!r}")
     if q_max < 1:

@@ -22,9 +22,9 @@ rises in a with slope at least 1, so each evaluation at a brackets the
 edge between a and a - phi.  A few secant-seeded evaluations narrow the
 bracket below tol; the bisection midpoints outside it need no
 computation.  Both ends of the final bracket are certified with
-level_sign; if either fails, the loop runs again with a gap that is always
-nan, which is plain level_sign bisection.  While level_sign is monotone
-in a, the edges are therefore bit for bit those of plain bisection.
+level_sign; if either fails, the loop runs again on the sign gap (+-inf
+by level_sign), which is plain level_sign bisection.  While level_sign is
+monotone in a, the edges are therefore bit for bit those of plain bisection.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     NoOrbitError,
 )
 from .maps import MINUS, PLUS, TWO_PI, MonotoneLift, Params, critical_points, envelope, eval_lift
-from .orbits import orbit_pair
+from .orbits import PeriodicOrbit, orbit_pair
 from .rotation import Q_MAX_DEFAULT, Rational, level_gap, level_sign
 from .solvers import bisect
 
@@ -59,6 +59,9 @@ KIND_TO_EDGE = {
 
 # Margin added to the a-priori plateau bound b/2pi when auto-windowing.
 WINDOW_MARGIN = 0.05
+
+# Largest b grid of the scans; each sample locates at least one edge.
+_B_SAMPLES_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -151,6 +154,7 @@ def _b_samples(
     """Lazy b grid b_lo + i*step of the scans; the arguments are checked at the call.
 
     The 1e-9 of a step keeps b_hi when it is a multiple of step up to rounding.
+    A grid of more than _B_SAMPLES_MAX samples is a ValueError.
     """
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be > 0 and finite, got {step!r}")
@@ -160,8 +164,8 @@ def _b_samples(
     if not -math.inf < b_lo <= b_hi < math.inf:
         raise ValueError(f"{name} must be finite, got {b_range!r}")
     n = (b_hi - b_lo) / step + 1e-9
-    if n == math.inf:
-        raise ValueError(f"{name} {b_range!r} spans too many steps of {step!r}")
+    if n >= _B_SAMPLES_MAX:
+        raise ValueError(f"{name} {b_range!r} spans too many steps of {step!r}: over {_B_SAMPLES_MAX}")
     return (b_lo + i * step for i in range(int(math.floor(n)) + 1))
 
 
@@ -172,40 +176,35 @@ def _secant(p0: Tuple[float, float], p1: Tuple[float, float]) -> float:
 
 
 def _gap_bisect(
-    gap: Callable[[float], float],
-    sgn: Callable[[float], int],
-    c: int,
-    a_window: Tuple[float, float],
-    tol: float,
+    gap: Callable[[float], float], a_window: Tuple[float, float], tol: float
 ) -> Tuple[float, float]:
-    """Final bracket of the sign bisection of the cut c, decided from the gap phi.
+    """Final bracket of the bisection of an edge over a_window, decided from the gap phi.
 
     Every phi evaluation at a narrows the bracket [e_lo, e_hi] of the edge
-    to its intersection with the span of a and a - phi.  Up to 8 seeding
-    evaluations start at the window centre and go on from the newest point
-    by the secant through the previous point on its side, else through the
-    latest point on the other side, else to a - phi (the midpoint of the
-    bracket when that leaves it), until the bracket is within tol / 8.
-    solvers.bisect then runs over the whole window; a midpoint more than
-    tol / 64 outside the bracket is answered by that side, any other by
-    phi > 0, or by sgn where phi is nan.  With exact brackets these are
-    the answers sgn would give, so the midpoints are those of the plain
-    bisection.
+    to its intersection with the span of a and a - phi; an infinite phi, a
+    level sign's answer, is a half-line.  Up to 8 seeding evaluations start
+    at the window centre and go on from the newest point by the secant
+    through the previous point on its side, else through the latest point
+    on the other side, else to a - phi (the midpoint of the bracket when
+    that leaves it), until the bracket is within tol / 8.  solvers.bisect
+    then runs over the whole window; a midpoint more than tol / 64 outside
+    the bracket is answered by that side, any other by phi > 0.  With exact
+    brackets these are the answers phi > 0 would give everywhere, so the
+    midpoints are those of the plain bisection on the sign of phi.
     """
     e_lo, e_hi = a_window
 
     def probe(a: float) -> float:
         nonlocal e_lo, e_hi
         phi = gap(a)
-        if phi == phi:  # a nan gives no bracket
-            e_lo, e_hi = max(e_lo, min(a, a - phi)), min(e_hi, max(a, a - phi))
+        e_lo, e_hi = max(e_lo, min(a, a - phi)), min(e_hi, max(a, a - phi))
         return phi
 
     sides: Tuple[list, list] = ([], [])  # (a, phi) at or below the cut, above it
     a = 0.5 * (a_window[0] + a_window[1])
     for _ in range(8):
         phi = probe(a)
-        if phi != phi or e_hi - e_lo <= tol / 8:
+        if e_hi - e_lo <= tol / 8:
             break
         side, other = sides[phi > 0.0], sides[phi <= 0.0]
         side.append((a, phi))
@@ -225,17 +224,9 @@ def _gap_bisect(
             return -1.0
         if a > e_hi + guard:
             return 1.0
-        phi = probe(a)
-        if phi == phi:
-            return 1.0 if phi > 0.0 else -1.0
-        return 1.0 if sgn(a) > c else -1.0
+        return 1.0 if probe(a) > 0.0 else -1.0
 
     return bisect(above_cut, a_window[0], a_window[1], -1.0, tol)
-
-
-def _no_gap(a: float) -> float:
-    """A level gap that decides nothing: _gap_bisect then bisects on sgn alone."""
-    return math.nan
 
 
 def _locate_edges(
@@ -246,20 +237,19 @@ def _locate_edges(
     a_window: Tuple[float, float],
     tol: float,
     q_max: int,
-) -> List[Tuple[float, float, bool]]:
+) -> List[Tuple[float, float]]:
     """Bisect the named edges ("left", "right") of one plateau of r at this b.
 
     The plateau is where the which-envelope level sign s(a) is 0.  Its left
     edge is where s rises above -1, its right edge where s rises above 0,
     so each edge has a cut c and the window must satisfy s(lo) <= c < s(hi),
     otherwise BadWindowError.  Both ends are probed once for all sides.
-    The bisection is decided from the level gap (_gap_bisect) and its final
-    bracket is kept only when s certifies both ends, s(lo) <= c < s(hi);
-    otherwise _gap_bisect runs again with _no_gap, which probes s at every
-    midpoint, so its ends certify by construction.  Returns one (edge,
-    final bracket width, whether a bisection probe of s would return 0)
-    per side; that is whether the inner end of the bracket, lo for the
-    right edge and hi for the left, was probed and lies on the plateau.
+    The bisection is decided from the level gap (_gap_bisect), and where
+    the gap is nan from the sign gap: +inf where s > c, -inf elsewhere.
+    The final bracket is kept only when s certifies both ends,
+    s(lo) <= c < s(hi); otherwise _gap_bisect runs again on the sign gap
+    alone, whose ends certify by construction.  Returns one (edge, final
+    bracket width) per side.
     """
     def lift(a: float) -> MonotoneLift:
         return envelope(Params(a, b), which)
@@ -281,17 +271,20 @@ def _locate_edges(
     for c in cuts:
         s = 2 * c + 1  # the gap phi_R for the right edge, phi_L for the left
 
-        def gap(a: float) -> float:
-            return level_gap(lift(a), r, s, q_max=q_max)
+        def sign_gap(a: float) -> float:
+            return math.inf if sgn(a) > c else -math.inf
 
-        for decide in (gap, _no_gap):
-            lo, hi = _gap_bisect(decide, sgn, c, a_window, tol)
+        def gap(a: float) -> float:
+            phi = level_gap(lift(a), r, s, q_max=q_max)
+            return phi if phi == phi else sign_gap(a)
+
+        for decide in (gap, sign_gap):
+            lo, hi = _gap_bisect(decide, a_window, tol)
             end_lo = s_lo if lo == lo_w else sgn(lo)
             end_hi = s_hi if hi == hi_w else sgn(hi)
             if end_lo <= c < end_hi:
                 break
-        seen_zero = (lo > lo_w and end_lo == 0) if c == 0 else (hi < hi_w and end_hi == 0)
-        edges.append((0.5 * (lo + hi), hi - lo, seen_zero))
+        edges.append((0.5 * (lo + hi), hi - lo))
     return edges
 
 
@@ -308,10 +301,11 @@ def plateau_edges(
     b must be >= 0 and finite and the window finite with lo <= hi, otherwise
     ValueError.  The window must bracket the plateau: the envelope rotation
     number must sit strictly below r at its left end and strictly above at
-    its right end, otherwise BadWindowError.  A plateau narrower than the
-    bisection resolution collapses to a doubled midpoint.  EmptyPlateauError
-    signals mutually inconsistent edge locations, which a valid bracket
-    cannot produce.
+    its right end, otherwise BadWindowError.  Both edges are bisected on
+    one window with one tol, so their final brackets are one cell of a
+    dyadic partition (a plateau narrower than that: a doubled edge) or at
+    least a cell apart.  Crossed edges, impossible while the level sign is
+    monotone in a, fold to their midpoint within tol, else EmptyPlateauError.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
@@ -325,7 +319,7 @@ def plateau_edges(
     if not lo_w < hi_w:
         raise BadWindowError(f"empty window {a_window!r}")
 
-    (a_left, _, zl), (a_right, _, zr) = _locate_edges(
+    (a_left, _), (a_right, _) = _locate_edges(
         b, r, which, ("left", "right"), a_window, tol, q_max
     )
     if a_right < a_left - tol:
@@ -333,7 +327,7 @@ def plateau_edges(
             f"edge bisections crossed for {which} plateau of {r} at "
             f"b={b!r}: left {a_left!r} > right {a_right!r}"
         )
-    if a_right < a_left or (not (zl or zr) and a_right - a_left < 0.25 * tol):
+    if a_right < a_left:
         mid = 0.5 * (a_left + a_right)
         return (mid, mid)
     return (a_left, a_right)
@@ -369,7 +363,7 @@ def trace_curve(
         else:
             window = (prev_a - hw, prev_a + hw)
         try:
-            ((a, width, _),) = _locate_edges(b, r, which, (side,), window, tol, q_max)
+            ((a, width),) = _locate_edges(b, r, which, (side,), window, tol, q_max)
         except BadWindowError as exc:
             raise ContinuationLostError(
                 f"continuation of {kind} for {r} lost its bracket at "
@@ -449,24 +443,23 @@ def boundary_condition_residuals(p: Params, r: Rational) -> BoundaryResiduals:
     which vanishes on Bl; br_residual mirrors this at the local minimum
     against the previous orbit point, vanishing on Br.
     """
-    r = Rational(r)
-    orbit, second = orbit_pair(p, r)
-    sn = abs(orbit.multiplier - 1.0)
-    if p.b <= 1.0:
-        return BoundaryResiduals(
-            saddle_node=sn,
-            o_prime_absent=second is None,
-            bl_residual=None,
-            br_residual=None,
-        )
-    x_c, x_k = critical_points(p).points
-    pts = list(orbit.points)
-    succ = next((y for y in pts if y > x_c + 1e-12), pts[0] + 1.0)
-    pred = next((y for y in reversed(pts) if y < x_k - 1e-12), pts[-1] - 1.0)
-    bl = eval_lift(p, x_c) - eval_lift(p, succ)
-    br = eval_lift(p, x_k) - eval_lift(p, pred)
+    return _pair_residuals(p, *orbit_pair(p, Rational(r)))
+
+
+def _pair_residuals(
+    p: Params, orbit: PeriodicOrbit, second: Optional[PeriodicOrbit]
+) -> BoundaryResiduals:
+    """boundary_condition_residuals from the pair (O, O') that orbit_pair found at p."""
+    bl = br = None
+    if p.b > 1.0:
+        x_c, x_k = critical_points(p).points
+        pts = list(orbit.points)
+        succ = next((y for y in pts if y > x_c + 1e-12), pts[0] + 1.0)
+        pred = next((y for y in reversed(pts) if y < x_k - 1e-12), pts[-1] - 1.0)
+        bl = eval_lift(p, x_c) - eval_lift(p, succ)
+        br = eval_lift(p, x_k) - eval_lift(p, pred)
     return BoundaryResiduals(
-        saddle_node=sn,
+        saddle_node=abs(orbit.multiplier - 1.0),
         o_prime_absent=second is None,
         bl_residual=bl,
         br_residual=br,
@@ -518,7 +511,7 @@ def intersect_curves(
 
     def diagnostics(point: Params, label: Rational) -> Optional[BoundaryResiduals]:
         try:
-            return boundary_condition_residuals(point, label)
+            return _pair_residuals(point, *orbit_pair(point, label, q_max=q_max))
         except NoOrbitError:
             return None
 

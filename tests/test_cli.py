@@ -137,6 +137,15 @@ def test_usage_error_exit_codes(capsys, tmp_path):
         ["intersect", "--left", "Bl:0/1", "--right", "Br:0/1", "--b-min", "0", "--b-max", "1e300", "--step", "1e-300"],
         ["interval", "--a", "0.2", "--b", "2", "--tol", "1e-320"],
         ["snap", "--value", "1e308", "--tol", "1", "--q-max", "2"],
+        # above the caps of 1e9 iterations and 1e6 b samples
+        ["interval", "--a", "0.2", "--b", "2", "--tol", "1e-300"],
+        ["interval", "--a", "0.2", "--b", "2", "--n-iter", "1000000001"],
+        ["interval", "--a", "0.2", "--b", "2", "--brute", "--brute-iters", "1000000001"],
+        ["rho", "--a", "0.2", "--b", "2", "--n-iter", "10000000000"],
+        ras + ["--n-iter", "1000000001"],
+        ["intersect", "--left", "Bl:0/1", "--right", "Br:0/1", "--b-min", "1", "--b-max", "1e9", "--step", "1"],
+        ["trace", "--kind", "Bl", "--rot", "0/1", "--b-min", "1", "--b-max", "1e9", "--step", "1"],
+        ["region", "--lo", "0/1", "--hi", "1/1", "--b-min", "1", "--b-max", "1e9", "--step", "1"],
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("usage"), argv
@@ -362,6 +371,28 @@ def test_orbit_pair_report(capsys):
         assert len(rec["points"]) == 1
     assert out["o_prime_absent"] is False
     assert out["bl_residual"] is not None
+
+
+def test_orbit_residuals_follow_q_max_and_scan_once(capsys, monkeypatch):
+    # 1/65 exceeds the default q_max of 64; --q-max 100 covers the orbits
+    # and their residuals alike, and the residuals reuse the pair's one scan.
+    from arnoldtongues import orbits
+
+    scans = []
+    scan = orbits.find_periodic_orbits
+
+    def counting(*args, **kwargs):
+        scans.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(orbits, "find_periodic_orbits", counting)
+    argv = ["orbit", "--a", "0.1440498194636761", "--b", "0.9", "--rot", "1/65", "--q-max", "100"]
+    for extra in (["--residuals"], ["--pair", "--residuals"]):
+        scans.clear()
+        out = run_json(capsys, argv + extra)
+        assert out["saddle_node"] >= 0.0 and out["o_prime_absent"] is False
+        assert len(out["orbits"]) == 2
+    assert len(scans) == 1
 
 
 def test_raster_files(capsys, tmp_path):

@@ -64,8 +64,9 @@ def test_estimate_independent_of_start(rng):
 
 def test_rho_validation():
     m = envelope(Params(0.1, 0.5), PLUS)
-    with pytest.raises(ValueError):
-        rho_monotone(m, n_iter=0)
+    for n_iter in (0, rotation._N_ITER_MAX + 1):
+        with pytest.raises(ValueError, match="n_iter must be in"):
+            rho_monotone(m, n_iter=n_iter)
     for x0 in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="x0 must be finite"):
             rho_monotone(m, x0=x0)
@@ -214,9 +215,13 @@ def test_iteration_count_follows_tolerance():
 
 
 def test_interval_rejects_a_tolerance_whose_iteration_count_overflows():
-    # 2 / 1e-320 is inf, which math.ceil cannot turn into an iteration count
-    with pytest.raises(ValueError, match="too small"):
-        rotation_interval(Params(0.2, 2.0), tol=1e-320)
+    # 2 / 1e-320 is inf, which math.ceil cannot turn into an iteration count;
+    # 2 / 1e-300 and 2 / 1.9e-9 are finite but past the cap of 1e9 iterations
+    for tol in (1e-320, 1e-300, 1.9 / rotation._N_ITER_MAX):
+        with pytest.raises(ValueError, match="too small"):
+            rotation_interval(Params(0.2, 2.0), tol=tol)
+    with pytest.raises(ValueError, match="n_iter must be in"):
+        rotation_interval(Params(0.2, 2.0), n_iter=rotation._N_ITER_MAX + 1)
 
 
 def test_bruteforce_rigid():
@@ -234,8 +239,9 @@ def test_bruteforce_locked_zero():
 def test_bruteforce_validation():
     with pytest.raises(ValueError):
         rho_bounds_bruteforce(Params(0.0, 0.5), n_x0=0)
-    with pytest.raises(ValueError):
-        rho_bounds_bruteforce(Params(0.0, 0.5), n_iter=0)
+    for n_iter in (0, 10**9 + 1):
+        with pytest.raises(ValueError, match="n_iter must be in"):
+            rho_bounds_bruteforce(Params(0.0, 0.5), n_iter=n_iter)
 
 
 def test_bruteforce_rates_inside_interval(rng):

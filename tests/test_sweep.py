@@ -258,6 +258,8 @@ def test_raster_validation():
         raster(0.0, 1.0, 0.0, 1.0, 0, 1)
     with pytest.raises(ValueError):
         raster(0.0, 1.0, -0.1, 1.0, 2, 2)
+    with pytest.raises(ValueError, match="n_iter must be in"):
+        raster(0.0, 1.0, 0.0, 1.0, 1, 1, n_iter=10**9 + 1)
 
 
 def test_ppm_layout():

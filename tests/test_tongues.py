@@ -188,13 +188,33 @@ def test_scans_reject_infinite_b_range():
 
 
 def test_scans_reject_a_b_range_of_too_many_steps():
-    # (1e300 - 0) / 1e-300 is inf, so the b grid has no finite length
+    # (1e300 - 0) / 1e-300 is inf, so the b grid has no finite length;
+    # 1..1e9 at step 1 is finite but past the cap of 1e6 samples
+    for b_range, step in (((0.0, 1e300), 1e-300), ((1.0, 1e9), 1.0)):
+        with pytest.raises(ValueError, match="too many steps"):
+            region_boundary((ZERO, ONE), b_range, step=step)
+        with pytest.raises(ValueError, match="too many steps"):
+            trace_curve("Bl", ZERO, b_range, step=step)
+        with pytest.raises(ValueError, match="too many steps"):
+            intersect_curves(("Bl", ZERO), ("Br", ZERO), b_range, step=step)
+    assert sum(1 for _ in tongues._b_samples((0.0, 999_999.0), 1.0)) == tongues._B_SAMPLES_MAX
     with pytest.raises(ValueError, match="too many steps"):
-        region_boundary((ZERO, ONE), (0.0, 1e300), step=1e-300)
-    with pytest.raises(ValueError, match="too many steps"):
-        trace_curve("Bl", ZERO, (0.0, 1e300), step=1e-300)
-    with pytest.raises(ValueError, match="too many steps"):
-        intersect_curves(("Bl", ZERO), ("Br", ZERO), (0.0, 1e300), step=1e-300)
+        tongues._b_samples((0.0, 1_000_000.0), 1.0)
+
+
+def test_intersect_residuals_follow_q_max(monkeypatch):
+    # The orbit pair behind each crossing's residuals uses the scan's q_max.
+    seen = []
+    pair = tongues.orbit_pair
+
+    def recording(p, r, q_max=64):
+        seen.append(q_max)
+        return pair(p, r, q_max=q_max)
+
+    monkeypatch.setattr(tongues, "orbit_pair", recording)
+    points = intersect_curves(("Br", ZERO), ("Bl", ONE), (8.1, 8.3), step=0.1, q_max=70)
+    assert len(points) == 1
+    assert seen and set(seen) == {70}
 
 
 def test_unit_interval_region_absent_at_low_coupling():
@@ -341,15 +361,13 @@ def _plain_sign_bisection(b, r, which, sides, window, tol, q_max=64):
     for side in sides:
         cut = -1 if side == "left" else 0
         lo, hi = window
-        seen_zero = False
         while True:
             mid = 0.5 * (lo + hi)
             if hi - lo <= tol or mid == lo or mid == hi:
                 break
             s = level_sign(envelope(Params(mid, b), which), r, q_max=q_max)
-            seen_zero = seen_zero or s == 0
             lo, hi = (lo, mid) if s > cut else (mid, hi)
-        edges.append((0.5 * (lo + hi), hi - lo, seen_zero))
+        edges.append((0.5 * (lo + hi), hi - lo))
     return edges
 
 
@@ -368,39 +386,67 @@ PARITY_CASES = [(2.0, Fraction(1, q), PLUS, ("left",), None) for q in (8, 16, 32
 def _parity_window(b, r, which, sides, cone):
     if cone is None:
         return default_window(b, r)
-    (edge, _, _), = _plain_sign_bisection(b, r, which, sides, default_window(b, r), 1e-8)
+    (edge, _), = _plain_sign_bisection(b, r, which, sides, default_window(b, r), 1e-8)
     return (edge - 0.7 * cone, edge + 0.3 * cone)
 
 
 def _check_parity(monkeypatch):
-    """Assert every parity case matches plain bisection; return the cuts that fell back."""
+    """Assert every parity case matches plain bisection; return the cases that fell back.
+
+    A fallback is a second _gap_bisect call for one side, on the sign gap.
+    """
     fallbacks = []
     gap_bisect = tongues._gap_bisect
+    calls = []
 
-    def counting(gap, sgn, cut, window, tol):
-        if gap is tongues._no_gap:
-            fallbacks.append(cut)
-        return gap_bisect(gap, sgn, cut, window, tol)
+    def counting(gap, window, tol):
+        calls.append(gap)
+        return gap_bisect(gap, window, tol)
 
     monkeypatch.setattr(tongues, "_gap_bisect", counting)
-    for b, r, which, sides, cone in PARITY_CASES:
+    for case in PARITY_CASES:
+        b, r, which, sides, cone = case
         window = _parity_window(b, r, which, sides, cone)
+        calls.clear()
         got = _locate_edges(b, r, which, sides, window, 1e-8, 64)
-        assert got == _plain_sign_bisection(b, r, which, sides, window, 1e-8), (b, r, which, sides)
+        assert got == _plain_sign_bisection(b, r, which, sides, window, 1e-8), case
+        fallbacks += [case] * (len(calls) - len(sides))
     return fallbacks
 
 
 def test_locate_edges_matches_plain_sign_bisection(monkeypatch):
     # The gap only decides which bisection midpoints need a probe, so the
-    # final bracket and seen_zero are those of plain level_sign bisection.
+    # final bracket is that of plain level_sign bisection.
     assert _check_parity(monkeypatch) == []
-    # The 1/32 plateau at b = 2 is narrower than the bisection: no probe
-    # lands on it, and plateau_edges folds its edges into one midpoint.
+    # The 1/32 plateau at b = 2 is narrower than the bisection: both edges
+    # end in the same cell, and plateau_edges returns that cell's midpoint twice.
     r = Fraction(1, 32)
-    edges = _locate_edges(2.0, r, PLUS, ("left", "right"), default_window(2.0, r), 1e-8, 64)
-    assert [seen_zero for _, _, seen_zero in edges] == [False, False]
-    left, right = plateau_edges(2.0, r, PLUS)
+    left, right = _locate_edges(2.0, r, PLUS, ("left", "right"), default_window(2.0, r), 1e-8, 64)
     assert left == right
+    assert plateau_edges(2.0, r, PLUS) == (left[0], left[0])
+
+
+def test_plateau_brackets_are_cells_of_one_partition():
+    # Both edges of a plateau are bisected on one window with one tol, so
+    # their final brackets are one cell or at least one width apart (up to
+    # the rounding of the midpoints); a plateau never needs folding while
+    # level_sign is monotone in a.  The last cases are plateaus only one cell
+    # wide at a coarse tol, whose edges must not fold either.
+    cases = [(b, r, which, 1e-8) for b, r, which, sides, _ in PARITY_CASES if len(sides) == 2]
+    labels = sorted({Fraction(p, q) for q in range(1, 7) for p in range(q)})
+    cases += [(b, r, which, 1e-8) for b in (0.5, 2.0, 3.0) for r in labels for which in (PLUS, MINUS)]
+    cases += [
+        (2.0, Fraction(3, 10), PLUS, 1e-3),
+        (0.5, Fraction(1, 7), MINUS, 1e-4),
+        (3.0, Fraction(1, 10), PLUS, 1e-5),
+    ]
+    for b, r, which, tol in cases:
+        window = default_window(b, r)
+        (a_left, w_left), (a_right, w_right) = _locate_edges(b, r, which, ("left", "right"), window, tol, 64)
+        same_cell = (a_left, w_left) == (a_right, w_right)
+        apart = a_right - a_left + 4 * math.ulp(max(abs(a_left), abs(a_right))) >= min(w_left, w_right)
+        assert same_cell or apart, (b, r, which, tol)
+        assert plateau_edges(b, r, which, tol=tol) == (a_left, a_right), (b, r, which, tol)
 
 
 def test_wrong_gap_magnitude_is_caught_by_the_end_certificate(monkeypatch):
@@ -413,8 +459,9 @@ def test_wrong_gap_magnitude_is_caught_by_the_end_certificate(monkeypatch):
         assert bool(fallbacks) == fallback, (scale, fallbacks)
 
 
-def test_nan_gap_is_never_a_bracket(monkeypatch):
-    # A nan gap leaves the bracket as it was and hands its probe to level_sign.
+def test_nan_gap_is_the_signs_infinite_bracket(monkeypatch):
+    # A nan gap hands its probe to level_sign, whose answer is an infinite
+    # gap: a half-line bracket on the side level_sign decides.
     calls = itertools.count()
     for nan_at in (lambda: True, lambda: next(calls) % 2 == 0):
         monkeypatch.setattr(
