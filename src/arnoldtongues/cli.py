@@ -29,7 +29,7 @@ from .maps import (
     eval_lift,
     schwarzian,
 )
-from .orbits import find_periodic_orbits, itinerary, orbit_pair
+from .orbits import _pair_of, find_periodic_orbits, itinerary, orbit_pair
 from .rotation import (
     Q_MAX_DEFAULT,
     rho_bounds_bruteforce,
@@ -189,15 +189,14 @@ def _cmd_interval(args) -> Dict:
 def _cmd_orbit(args) -> Dict:
     p = Params(args.a, args.b)
     out: Dict = {"a": p.a, "b": p.b, "label": _frac_str(args.rot)}
-    pair = orbit_pair(p, args.rot, q_max=args.q_max) if args.pair or args.residuals else None
     if args.pair:
+        pair = orbit_pair(p, args.rot, q_max=args.q_max)
         first, second = pair
         orbits = [("O", first)] + ([("O_prime", second)] if second else [])
     else:
-        orbits = [
-            (str(i), o)
-            for i, o in enumerate(find_periodic_orbits(p, args.rot, q_max=args.q_max))
-        ]
+        found = find_periodic_orbits(p, args.rot, q_max=args.q_max)
+        pair = _pair_of(p, args.rot, found) if args.residuals else None
+        orbits = [(str(i), o) for i, o in enumerate(found)]
     records = []
     for name, o in orbits:
         rec: Dict = {

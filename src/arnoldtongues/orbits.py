@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import AmbiguityError, NoOrbitError
-from .maps import Params, critical_points, deriv, eval_lift
+from .maps import TWO_PI, Params, critical_points, deriv, eval_lift
 from .rotation import Q_MAX_DEFAULT, Rational, _closure, _dips, _level_grid
 from .solvers import bisect
 
@@ -82,13 +82,18 @@ def classify_multiplier(m: float) -> str:
 
 
 def _closure_deriv(p: Params, q: int, x: float) -> float:
-    """(F^q)'(x) - 1, from the chain rule along the forward iterates."""
-    y = x
-    prod = 1.0
+    """(F^q)'(x) - 1, from the chain rule along the forward iterates.
+
+    Each step is deriv's and eval_lift's float expression, in their order,
+    with math bound once.
+    """
+    a, b, c = p.a, p.b, p.b / TWO_PI
+    sin, cos, floor = math.sin, math.cos, math.floor
+    y, prod = float(x), 1.0
     for _ in range(q):
-        prod *= deriv(p, y, 1)
-        y = eval_lift(p, y)
-        y -= math.floor(y)
+        prod *= 1.0 + b * cos(TWO_PI * y)
+        y = y + a + c * sin(TWO_PI * y)
+        y -= floor(y)
     return prod - 1.0
 
 
@@ -223,7 +228,13 @@ def orbit_pair(
     than two classes turn up, which would contradict the orbit-counting
     argument and signals a solver failure.
     """
-    orbits = find_periodic_orbits(p, r, q_max=q_max)
+    return _pair_of(p, r, find_periodic_orbits(p, r, q_max=q_max))
+
+
+def _pair_of(
+    p: Params, r: Rational, orbits: List[PeriodicOrbit]
+) -> Tuple[PeriodicOrbit, Optional[PeriodicOrbit]]:
+    """orbit_pair's (O, O') from the orbits that find_periodic_orbits(p, r) returned."""
     cands = [o for o in orbits if o.on_increasing_branch]
     if not cands:
         raise NoOrbitError(

@@ -1,8 +1,9 @@
 """Small helpers shared between test modules."""
 
+import math
 from fractions import Fraction
 
-from arnoldtongues import trace_curve
+from arnoldtongues import Params, eval_lift, trace_curve
 
 
 def locate_edge(kind, r, b, tol=1e-8):
@@ -10,3 +11,25 @@ def locate_edge(kind, r, b, tol=1e-8):
     curve = trace_curve(kind, Fraction(r), (b, b), step=1.0, tol=tol)
     assert len(curve.samples) == 1
     return curve.samples[0][1]
+
+
+def iterate_reference(lift, x, n):
+    """n winding-reduced steps of a raw Params lift or a MonotoneLift at the float x, plainly.
+
+    Each step is eval_lift's float expression, folded onto the plateau the
+    way MonotoneLift.eval folds, and every one of the n steps runs.
+    """
+    raw, fold = (lift, None) if isinstance(lift, Params) else (lift.base, lift._fold)
+    y, wind = float(x), 0.0
+    for _ in range(n):
+        if fold is None:
+            y = eval_lift(raw, y)
+        else:
+            w, lo, hi = fold
+            m = math.floor(y - w)
+            t = y - m
+            y = (lift.plateau_value if lo <= t <= hi else eval_lift(raw, t)) + m
+        k = math.floor(y)
+        wind += k
+        y -= k
+    return y + wind

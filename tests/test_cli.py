@@ -395,6 +395,37 @@ def test_orbit_residuals_follow_q_max_and_scan_once(capsys, monkeypatch):
     assert len(scans) == 1
 
 
+def test_orbit_residuals_scan_once_with_and_without_pair(capsys, monkeypatch):
+    # orbit --residuals takes the residuals' pair from its own listing: one orbit scan
+    # with or without --pair, and its bytes are the listing's plus the pair's residuals.
+    from arnoldtongues import cli, orbits
+
+    def stdout(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    argv = ["orbit", "--a", "0.28", "--b", "2", "--rot", "0/1", "--json"]
+    residual_keys = ("saddle_node", "o_prime_absent", "bl_residual", "br_residual")
+    listed = json.loads(stdout(argv))
+    paired = json.loads(stdout(argv + ["--pair", "--residuals"]))
+
+    scans = []
+    scan = orbits.find_periodic_orbits
+
+    def counting(*args, **kwargs):
+        scans.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(orbits, "find_periodic_orbits", counting)
+    monkeypatch.setattr(cli, "find_periodic_orbits", counting)
+    want = dict(listed, **{k: paired[k] for k in residual_keys})
+    for extra, expected in ((["--residuals"], want), (["--pair", "--residuals"], paired)):
+        scans.clear()
+        out = stdout(argv + extra)
+        assert len(scans) == 1, extra
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n", extra
+
+
 def test_raster_files(capsys, tmp_path):
     img = str(tmp_path / "grid.ppm")
     csv = str(tmp_path / "grid.csv")

@@ -26,6 +26,7 @@ from arnoldtongues import (
 from arnoldtongues import rotation
 from arnoldtongues.rotation import TOLZ, _cyclic_minima, _iterate, _scalar_iterate, level_gap
 from arnoldtongues.solvers import golden_min
+from helpers import iterate_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -319,6 +320,60 @@ def test_scalar_iterate_rejects_non_finite_x():
         for x in (math.nan, math.inf, -math.inf, np.float64("nan")):
             with pytest.raises(ValueError, match="finite"):
                 it(x, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.one_of(st.floats(-3.0, 3.0), st.floats(-1e12, 1e12)),
+    b=st.floats(0.0, 4.0),
+    x=st.one_of(st.floats(-4.0, 4.0), st.floats(-1e17, 1e17), st.sampled_from([2.0**53 - 64, -1e17])),
+    n=st.one_of(st.integers(1, 5000), st.integers(60, 200)),
+    shape=st.integers(0, 2),
+)
+def test_scalar_iterate_cycle_shortcut_matches_plain_loop_property(a, b, x, n, shape):
+    # Envelopes for b > 1 lock almost everywhere, so their float orbits repeat and the
+    # shortcut fires; a up to 1e12 coarsens y to a few bits, so those repeat too, with
+    # windings near 2**53; x up to 1e17 must switch the check off.
+    lift, _ = _kernel_lifts(a, b)[shape]
+    assert _scalar_iterate(lift)(x, n).hex() == iterate_reference(lift, x, n).hex()
+
+
+def test_scalar_iterate_cycle_shortcut_every_remainder():
+    # Every n up to 400 on locked orbits of several periods: n below the check, n just
+    # past a detection, whole periods and every remainder after them.  From x = 2**53 - 64
+    # the winding crosses 2**53, where it no longer adds exactly, so the check stays off.
+    lifts = [
+        envelope(Params(0.28, 2.0), PLUS),  # locked to 1/4
+        envelope(Params(0.4, 3.0), MINUS),  # 0/1
+        envelope(Params(0.655, 1.5), PLUS),  # 8/11
+        Params(0.1, 0.9),  # 0/1
+        Params(0.3333, 0.95),  # 8/25
+    ]
+    for lift in lifts:
+        it = _scalar_iterate(lift)
+        for x in (0.0, 0.37, -2.5, 2.0**53 - 64):
+            got = [it(x, n).hex() for n in range(1, 401)]
+            assert got == [iterate_reference(lift, x, n).hex() for n in range(1, 401)], lift
+
+
+def test_scalar_iterate_skips_the_steps_of_a_repeating_orbit(monkeypatch):
+    # The kernel binds math.sin when it is built, so a counting sin counts its steps.
+    calls, sin = [], math.sin
+
+    def counting_sin(t):
+        calls.append(t)
+        return sin(t)
+
+    lift = Params(0.3333, 0.95)
+    with monkeypatch.context() as m:
+        m.setattr(math, "sin", counting_sin)
+        it = _scalar_iterate(lift)
+    n = 10**5
+    assert it(0.1, n).hex() == iterate_reference(lift, 0.1, n).hex()
+    assert 0 < len(calls) < n / 10
+    calls.clear()
+    assert it(1e17, 100).hex() == iterate_reference(lift, 1e17, 100).hex()
+    assert len(calls) == 100
 
 
 def test_cyclic_minima_matches_roll_mask(rng):
