@@ -29,7 +29,8 @@ from .maps import (
     eval_lift,
     schwarzian,
 )
-from .orbits import _pair_of, find_periodic_orbits, itinerary, orbit_pair
+from . import orbits
+from .orbits import find_periodic_orbits, itinerary  # the orbit scan runs as orbits.find_periodic_orbits
 from .rotation import (
     Q_MAX_DEFAULT,
     rho_bounds_bruteforce,
@@ -189,16 +190,14 @@ def _cmd_interval(args) -> Dict:
 def _cmd_orbit(args) -> Dict:
     p = Params(args.a, args.b)
     out: Dict = {"a": p.a, "b": p.b, "label": _frac_str(args.rot)}
+    found = orbits.find_periodic_orbits(p, args.rot, q_max=args.q_max)
+    pair = orbits._pair_of(p, args.rot, found) if args.pair or args.residuals else None
     if args.pair:
-        pair = orbit_pair(p, args.rot, q_max=args.q_max)
-        first, second = pair
-        orbits = [("O", first)] + ([("O_prime", second)] if second else [])
+        named = [("O", pair[0])] + ([("O_prime", pair[1])] if pair[1] else [])
     else:
-        found = find_periodic_orbits(p, args.rot, q_max=args.q_max)
-        pair = _pair_of(p, args.rot, found) if args.residuals else None
-        orbits = [(str(i), o) for i, o in enumerate(found)]
+        named = [(str(i), o) for i, o in enumerate(found)]
     records = []
-    for name, o in orbits:
+    for name, o in named:
         rec: Dict = {
             "name": name,
             "points": list(o.points),

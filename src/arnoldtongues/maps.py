@@ -68,21 +68,40 @@ class CriticalSet:
     degenerate: bool
 
 
+def _step(y: np.ndarray, a: ArrayLike, c: ArrayLike, fold: Optional[Tuple] = None) -> np.ndarray:
+    """y + a + c sin(2 pi y) on a float array y, the one array spelling of a lift step.
+
+    fold = (w, lo, hi, value), MonotoneLift._fold plus the flat value, makes it the
+    envelope's step: y folds into t in [w, w + 1), flat at value + y - t where lo <= t <= hi.
+    a, c and the fold broadcast against y.  Above 512 elements the flat cells skip
+    their sin, as the mask then costs less than it saves; the bits stay the same.
+    """
+    if fold is None:
+        return y + a + c * np.sin(TWO_PI * y)
+    w, lo, hi, value = fold
+    n = np.floor(y - w)
+    t = y - n
+    flat = (lo <= t) & (t <= hi)
+    arg = TWO_PI * t
+    np.sin(arg, out=arg, where=~flat if arg.size > 512 else True)
+    return np.where(flat, value, t + a + c * arg) + n
+
+
 def eval_lift(p: Params, x: ArrayLike) -> ArrayLike:
-    """Value of the lift at x.  Accepts scalars or arrays.
+    """Value of the lift at x.  Accepts floats, arrays and sequences.
 
     A float x (numpy float64 included) is evaluated with math and returns a
-    float; anything else goes through numpy.  Both paths apply the same
-    operations in the same order, so on builds where numpy's sin and cos
-    round like the C library's the scalar result equals the matching array
-    element bit for bit.  A non-finite float gives nan, as numpy does.
+    float; anything else becomes a float array and takes one _step.  Both
+    paths apply the same operations in the same order, so on builds where
+    numpy's sin and cos round like the C library's the scalar result equals
+    the matching array element bit for bit.  A non-finite float gives nan.
     """
     if isinstance(x, float):
         if not math.isfinite(x):
             return math.nan
         x = float(x)
         return x + p.a + (p.b / TWO_PI) * math.sin(TWO_PI * x)
-    return x + p.a + (p.b / TWO_PI) * np.sin(TWO_PI * np.asarray(x, dtype=float))
+    return _step(np.asarray(x, dtype=float), p.a, p.b / TWO_PI)
 
 
 def deriv(p: Params, x: ArrayLike, order: int = 1) -> ArrayLike:
@@ -173,15 +192,11 @@ class MonotoneLift:
         return self.plateau_end - 1.0, self.plateau_start, math.inf
 
     def eval(self, x: ArrayLike) -> ArrayLike:
-        """Evaluate the monotone lift at x with numpy; a scalar x gives a float."""
-        if self._fold is None:
-            return eval_lift(self.base, x)
-        w, lo, hi = self._fold
-        xv = np.asarray(x, dtype=float)
-        n = np.floor(xv - w)
-        t = xv - n
-        val = np.where((lo <= t) & (t <= hi), self.plateau_value, eval_lift(self.base, t)) + n
-        return float(val) if np.ndim(val) == 0 else val
+        """The monotone lift at x (scalar, array or sequence) by one _step; a scalar gives a float."""
+        y = np.asarray(x, dtype=float)
+        fold = None if self._fold is None else (*self._fold, self.plateau_value)
+        val = _step(y.reshape(1) if y.ndim == 0 else y, self.base.a, self.base.b / TWO_PI, fold)
+        return float(val[0]) if y.ndim == 0 else val
 
 
 @functools.lru_cache(maxsize=1024)

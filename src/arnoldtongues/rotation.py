@@ -105,7 +105,7 @@ def _scalar_iterate(lift: Union[MonotoneLift, Params]) -> Callable[[float, int],
     lift is a MonotoneLift (raw for b <= 1, or an envelope with a plateau)
     or a raw Params lift.  Its a, b/2pi, fold (MonotoneLift._fold) and
     plateau value are bound once, and each step applies the operations of
-    maps.eval_lift and MonotoneLift.eval in their order, so it(x, n) is a
+    maps._step (the array step of eval_lift and m.eval) in order, so it(x, n) is a
     float equal to the matching element of the array _iterate bit for bit
     wherever numpy's sin rounds like math.sin.  A non-finite x is a
     ValueError, never a number.

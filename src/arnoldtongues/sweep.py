@@ -2,9 +2,9 @@
 
 The raster samples rotation-interval endpoints at cell centers, snaps
 them to small-denominator rationals, and can be drawn as a binary PPM or
-dumped as CSV.  Its rows iterate through rotation._iterate, the package's
-one winding-reduced kernel.  Cells are pure functions of their center
-coordinates, so output is byte-identical whatever the worker count.
+dumped as CSV.  Its rows iterate maps._step, the one array lift step, through
+rotation._iterate, the one winding-reduced kernel.  Cells are pure functions
+of their center coordinates, so output is byte-identical whatever the worker count.
 
 Each CSV artifact (raster, curve, region) has one schema, a header and a
 row template, which its writer and its loader share.
@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, 
 
 import numpy as np
 
-from .maps import MINUS, PLUS, TWO_PI, Params, envelope
+from .maps import MINUS, PLUS, TWO_PI, Params, _step, envelope
 from .rotation import Rational, _check_n_iter, _iterate, rho_exact_rational_test
 from .tongues import BoundaryCurve, Region
 
@@ -98,42 +98,28 @@ def _plateau_rows(bvec: np.ndarray) -> np.ndarray:
 def _raster_block(args: Tuple[np.ndarray, np.ndarray, int]) -> Tuple[np.ndarray, np.ndarray]:
     """Endpoint estimates for a block of constant-b rows of cells.
 
-    The block is iterated as one array by rotation._iterate, a row per b
-    and a column per a.  Rows with b <= 1 step the lift itself, which both
-    envelopes equal.  Rows with b > 1 step both envelopes at once, the
-    lower envelope's rows stacked above the upper's, each folded and
-    flattened as its envelope decides (_plateau_rows).  Every cell goes
-    through the same operations in the same order whatever the block it
-    is in.
+    The block is iterated as one array by rotation._iterate, a row per b and
+    a column per a, each step one maps._step.  Rows with b <= 1 step the lift
+    itself, which both envelopes equal.  Rows with b > 1 step both envelopes
+    at once, the lower envelope's rows stacked above the upper's, each folded
+    and flattened as its envelope decides (_plateau_rows).  Every cell gets
+    the same bits whatever the block it is in, since _step's mask keeps them.
     """
     bvec, avec, n_iter = args
     coef = (bvec / TWO_PI)[:, None]
     plain = bvec <= 1.0
     rho_minus, rho_plus = np.empty((2, len(bvec), len(avec)))
 
-    def rho(step: Callable[[np.ndarray], np.ndarray], c: np.ndarray) -> np.ndarray:
-        # The estimates of the rows whose coefficients b / 2 pi are c.
-        return _iterate(step, np.zeros((len(c), len(avec))), n_iter) / n_iter
+    def rho(c: np.ndarray, fold: Optional[Tuple] = None) -> np.ndarray:
+        # The estimates of the rows whose coefficients b / 2 pi are c, stepped with fold.
+        return _iterate(lambda y: _step(y, avec, c, fold), np.zeros((len(c), len(avec))), n_iter) / n_iter
 
     if plain.any():
-        c = coef[plain]
-        rho_minus[plain] = rho_plus[plain] = rho(lambda y: y + avec + c * np.sin(TWO_PI * y), c)
-
+        rho_minus[plain] = rho_plus[plain] = rho(coef[plain])
     if not plain.all():
         w, lo, hi, value = _plateau_rows(bvec[~plain])
         c = np.vstack([coef[~plain]] * 2)
-        flat_val = value + avec
-
-        def fold(y: np.ndarray) -> np.ndarray:
-            n = np.floor(y - w)
-            t = y - n
-            flat = (t >= lo) & (t <= hi)
-            # sin only off the plateau; np.where drops the other cells.
-            arg = TWO_PI * t
-            np.sin(arg, out=arg, where=~flat)
-            return np.where(flat, flat_val, t + avec + c * arg) + n
-
-        rho_minus[~plain], rho_plus[~plain] = np.split(rho(fold, c), 2)
+        rho_minus[~plain], rho_plus[~plain] = np.split(rho(c, (w, lo, hi, value + avec)), 2)
     return rho_minus, rho_plus
 
 

@@ -80,6 +80,54 @@ def test_eval_scalar_nonfinite_matches_array():
             assert all(math.isnan(f(float(x))) for x in xs)
 
 
+def _hex(values):
+    return [float.hex(v) for v in np.ravel(values).tolist()]
+
+
+def test_eval_accepts_sequences_and_keeps_shape():
+    # Anything but a float takes the array path: a list, a tuple, an int or
+    # an array of any rank gives the matching ndarray call's values, bit for
+    # bit, in its own shape, and a 0-d input gives a float.
+    inputs = [
+        [0.1, 0.2],
+        (0.1, -0.7, 1.4),
+        1,
+        np.array(0.4),
+        np.array([0.3, 0.9, -2.2]),
+        np.linspace(-1.0, 2.0, 6).reshape(2, 3),
+        np.array([]),
+    ]
+    for b in (0.5, 2.0):
+        p = Params(0.1, b)
+        cases = [("eval_lift", lambda x: eval_lift(p, x))]
+        cases += [(f"{w} envelope", envelope(p, w).eval) for w in (PLUS, MINUS)]
+        for name, f in cases:
+            for x in inputs:
+                got, want = f(x), f(np.asarray(x, dtype=float))
+                assert np.shape(got) == np.shape(x), f"{name} at b={b}, x={x!r}"
+                assert isinstance(got, float) == (np.ndim(x) == 0), f"{name} at b={b}, x={x!r}"
+                assert _hex(got) == _hex(want), f"{name} at b={b}, x={x!r}"
+
+
+def test_envelope_step_mask_never_changes_a_bit(rng):
+    # Above 512 elements maps._step skips the sin of flat cells; one masked
+    # 4096-point call must equal its 64-point unmasked chunks bit for bit,
+    # plateau ends and their +-1 shifts (and the floats beside them) included.
+    for b in (1.01, 1.3, 2.0, 3.3, 5.5, 8.0):
+        for which in (PLUS, MINUS):
+            m = envelope(Params(float(rng.uniform(-1.0, 1.0)), b), which)
+            ends = [
+                math.nextafter(e + k, toward)
+                for e in (m.plateau_start, m.plateau_end)
+                for k in (-1.0, 0.0, 1.0)
+                for toward in (-math.inf, e + k, math.inf)
+            ]
+            xs = np.concatenate([ends, rng.uniform(-5.0, 5.0, 4096 - len(ends))])
+            whole = m.eval(xs)
+            chunks = np.concatenate([m.eval(xs[i : i + 64]) for i in range(0, len(xs), 64)])
+            assert np.array_equal(whole.view(np.int64), chunks.view(np.int64)), (b, which)
+
+
 def test_plateau_edges_match_array_path_bisection():
     # The plateau interval is the a = 0 upper envelope's, bisected on scalar
     # lift values; redoing that bisection on one-element arrays must land on
