@@ -73,8 +73,8 @@ def _step(y: np.ndarray, a: ArrayLike, c: ArrayLike, fold: Optional[Tuple] = Non
 
     fold = (w, lo, hi, value), MonotoneLift._fold plus the flat value, makes it the
     envelope's step: y folds into t in [w, w + 1), flat at value + y - t where lo <= t <= hi.
-    a, c and the fold broadcast against y.  Above 512 elements the flat cells skip
-    their sin, as the mask then costs less than it saves; the bits stay the same.
+    a, c and the fold broadcast against y.  Flat cells skip their sin; the mask
+    changes no bit of the other cells.
     """
     if fold is None:
         return y + a + c * np.sin(TWO_PI * y)
@@ -83,7 +83,7 @@ def _step(y: np.ndarray, a: ArrayLike, c: ArrayLike, fold: Optional[Tuple] = Non
     t = y - n
     flat = (lo <= t) & (t <= hi)
     arg = TWO_PI * t
-    np.sin(arg, out=arg, where=~flat if arg.size > 512 else True)
+    np.sin(arg, out=arg, where=~flat)
     return np.where(flat, value, t + a + c * arg) + n
 
 

@@ -109,9 +109,9 @@ def test_eval_accepts_sequences_and_keeps_shape():
                 assert _hex(got) == _hex(want), f"{name} at b={b}, x={x!r}"
 
 
-def test_envelope_step_mask_never_changes_a_bit(rng):
-    # Above 512 elements maps._step skips the sin of flat cells; one masked
-    # 4096-point call must equal its 64-point unmasked chunks bit for bit,
+def test_envelope_step_bits_do_not_depend_on_chunking(rng):
+    # maps._step masks the sin of flat cells; one 4096-point call must equal
+    # its 64-point chunks bit for bit, as raster blocks of any size must,
     # plateau ends and their +-1 shifts (and the floats beside them) included.
     for b in (1.01, 1.3, 2.0, 3.3, 5.5, 8.0):
         for which in (PLUS, MINUS):
