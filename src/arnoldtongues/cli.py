@@ -30,7 +30,7 @@ from .maps import (
     schwarzian,
 )
 from . import orbits
-from .orbits import find_periodic_orbits, itinerary  # the orbit scan runs as orbits.find_periodic_orbits
+from .orbits import itinerary
 from .rotation import (
     Q_MAX_DEFAULT,
     rho_bounds_bruteforce,

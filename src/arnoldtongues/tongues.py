@@ -16,22 +16,27 @@ point can be cross-checked against the independent orbit-based boundary
 conditions (parabolic orbit on A-curves, critical value hitting an orbit
 value on B-curves).
 
-The bisection is decided from the extremal level gap phi
-(rotation.level_gap), whose sign is the certificate's decision and which
-rises in a with slope at least 1, so each evaluation at a brackets the
-edge between a and a - phi.  A few secant-seeded evaluations narrow the
-bracket below tol; the bisection midpoints outside it need no
+The bisection is decided from a gap: a function of a that rises with
+slope at least 1 and whose zero is the edge, so each evaluation at a
+brackets the edge between a and a - gap.  A few secant-seeded evaluations
+narrow the bracket below tol; the bisection midpoints outside it need no
 computation.  Both ends of the final bracket are certified with
-level_sign; if either fails, the loop runs again on the sign gap (+-inf
-by level_sign), which is plain level_sign bisection.  While level_sign is
-monotone in a, the edges are therefore bit for bit those of plain bisection.
+level_sign; if either fails, the loop runs again on the next gap of a
+cascade.  Every edge tries the extremal level gap phi (rotation.level_gap),
+whose sign is the certificate's decision, and then the sign gap (+-inf by
+level_sign), which is plain level_sign bisection.  For b > 1 the B side of
+a plateau (Bl, Br) first tries the plateau return h = G(e), q scalar
+steps from the end e of the flat piece through which the plateau's orbit
+leaves: on a B-curve the critical value lands on that orbit.  While
+level_sign is monotone in a, the edges are bit for bit those of plain
+bisection, whichever pass decides.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
     BadWindowError,
@@ -41,7 +46,7 @@ from .errors import (
 )
 from .maps import MINUS, PLUS, TWO_PI, MonotoneLift, Params, critical_points, envelope, eval_lift
 from .orbits import PeriodicOrbit, orbit_pair
-from .rotation import Q_MAX_DEFAULT, Rational, level_gap, level_sign
+from .rotation import Q_MAX_DEFAULT, Rational, _closure, level_gap, level_sign
 from .solvers import bisect
 
 KIND_AL = "Al"
@@ -243,23 +248,36 @@ def _locate_edges(
     The plateau is where the which-envelope level sign s(a) is 0.  Its left
     edge is where s rises above -1, its right edge where s rises above 0,
     so each edge has a cut c and the window must satisfy s(lo) <= c < s(hi),
-    otherwise BadWindowError.  Both ends are probed once for all sides.
-    The bisection is decided from the level gap (_gap_bisect), and where
-    the gap is nan from the sign gap: +inf where s > c, -inf elsewhere.
-    The final bracket is kept only when s certifies both ends,
-    s(lo) <= c < s(hi); otherwise _gap_bisect runs again on the sign gap
-    alone, whose ends certify by construction.  Returns one (edge, final
-    bracket width) per side.
+    otherwise BadWindowError.  s is memoised for the call, so no a is
+    probed twice, the window ends included.
+
+    Each edge runs _gap_bisect on a cascade of gaps and keeps the first
+    final bracket whose ends s certifies, s(lo) <= c < s(hi):
+      - h, the plateau return G(e) = M^(q-1)(v) - e - p, only on the B side
+        for b > 1: the plus plateau's right edge (e = plateau_end) and the
+        minus plateau's left edge (e = plateau_start).  Where the edge is a
+        smooth extremum of G instead (near b = 1), the zero of h is not the
+        edge and the certificate rejects the pass;
+      - phi, the level gap, or the sign gap where phi is nan;
+      - the sign gap: +inf where s > c, -inf elsewhere, whose ends certify
+        by construction.
+    Returns one (edge, final bracket width) per side.
     """
     def lift(a: float) -> MonotoneLift:
         return envelope(Params(a, b), which)
 
-    def sgn(a: float) -> int:
-        return level_sign(lift(a), r, q_max=q_max)
+    signs: Dict[float, int] = {}
 
-    lo_w, hi_w = a_window
-    s_lo = sgn(lo_w)
-    s_hi = sgn(hi_w)
+    def sgn(a: float) -> int:
+        if a not in signs:
+            signs[a] = level_sign(lift(a), r, q_max=q_max)
+        return signs[a]
+
+    def plateau_return(a: float) -> float:
+        m = lift(a)
+        return _closure(m, r)(m.plateau_end if which == PLUS else m.plateau_start)
+
+    s_lo, s_hi = sgn(a_window[0]), sgn(a_window[1])
     cuts = [-1 if side == "left" else 0 for side in sides]
     if not all(s_lo <= c < s_hi for c in cuts):
         target = f"{sides[0]} edge of the " if len(sides) == 1 else ""
@@ -267,6 +285,7 @@ def _locate_edges(
             f"window {a_window!r} does not bracket the {target}{which} plateau "
             f"of {r} at b={b!r}: end signs ({s_lo}, {s_hi})"
         )
+    b_cut = 0 if which == PLUS else -1  # the B side: Bl, the plus right edge; Br, the minus left
     edges = []
     for c in cuts:
         s = 2 * c + 1  # the gap phi_R for the right edge, phi_L for the left
@@ -278,11 +297,10 @@ def _locate_edges(
             phi = level_gap(lift(a), r, s, q_max=q_max)
             return phi if phi == phi else sign_gap(a)
 
-        for decide in (gap, sign_gap):
+        gaps = (plateau_return, gap, sign_gap) if c == b_cut and b > 1.0 else (gap, sign_gap)
+        for decide in gaps:
             lo, hi = _gap_bisect(decide, a_window, tol)
-            end_lo = s_lo if lo == lo_w else sgn(lo)
-            end_hi = s_hi if hi == hi_w else sgn(hi)
-            if end_lo <= c < end_hi:
+            if sgn(lo) <= c < sgn(hi):
                 break
         edges.append((0.5 * (lo + hi), hi - lo))
     return edges

@@ -398,7 +398,7 @@ def test_orbit_residuals_follow_q_max_and_scan_once(capsys, monkeypatch):
 def test_orbit_residuals_scan_once_with_and_without_pair(capsys, monkeypatch):
     # orbit --residuals takes the residuals' pair from its own listing: one orbit scan
     # with or without --pair, and its bytes are the listing's plus the pair's residuals.
-    from arnoldtongues import cli, orbits
+    from arnoldtongues import orbits
 
     def stdout(argv):
         assert main(argv) == 0
@@ -417,7 +417,6 @@ def test_orbit_residuals_scan_once_with_and_without_pair(capsys, monkeypatch):
         return scan(*args, **kwargs)
 
     monkeypatch.setattr(orbits, "find_periodic_orbits", counting)
-    monkeypatch.setattr(cli, "find_periodic_orbits", counting)
     want = dict(listed, **{k: paired[k] for k in residual_keys})
     for extra, expected in ((["--residuals"], want), (["--pair", "--residuals"], paired)):
         scans.clear()

@@ -468,3 +468,82 @@ def test_nan_gap_is_the_signs_infinite_bracket(monkeypatch):
             tongues, "level_gap", lambda *args, nan_at=nan_at, **kw: math.nan if nan_at() else level_gap(*args, **kw)
         )
         assert _check_parity(monkeypatch) == []
+
+
+def _recording_gap_bisect(monkeypatch):
+    """Patch tongues._gap_bisect to append the name of each gap it runs to the returned list."""
+    gap_bisect = tongues._gap_bisect
+    names = []
+
+    def recording(gap, window, tol):
+        names.append(gap.__name__)
+        return gap_bisect(gap, window, tol)
+
+    monkeypatch.setattr(tongues, "_gap_bisect", recording)
+    return names
+
+
+def test_no_level_sign_probe_twice_in_one_edge_search(monkeypatch):
+    # One _locate_edges call memoises level_sign by a: the window ends, every
+    # pass's end certificate and the sign-gap pass's seeding and bisection
+    # share it.  The shrunken level gap forces sign-gap passes.
+    probed = []
+    sign = tongues.level_sign
+
+    def recording(m, r, q_max=64):
+        probed.append(m.base.a)
+        return sign(m, r, q_max=q_max)
+
+    monkeypatch.setattr(tongues, "level_sign", recording)
+    monkeypatch.setattr(tongues, "level_gap", lambda *args, **kw: 1e-3 * level_gap(*args, **kw))
+    passes = _recording_gap_bisect(monkeypatch)
+    for b, r, which, sides, cone in PARITY_CASES:
+        window = _parity_window(b, r, which, sides, cone)
+        probed.clear()
+        got = _locate_edges(b, r, which, sides, window, 1e-8, 64)
+        assert got == _plain_sign_bisection(b, r, which, sides, window, 1e-8)
+        assert len(probed) == len(set(probed)), (b, r, which, sides)
+    assert "sign_gap" in passes
+
+
+def _edge_passes(monkeypatch, cases):
+    """Locate the single edge of each (b, r, kind) case; return the names of the gaps each ran.
+
+    The last name is the pass the end certificate accepted.  Every edge must
+    equal plain level_sign bisection over the a-priori window.
+    """
+    passes = _recording_gap_bisect(monkeypatch)
+    ran = []
+    for b, r, kind in cases:
+        which, side = tongues.KIND_TO_EDGE[kind]
+        window = default_window(b, r)
+        passes.clear()
+        got = _locate_edges(b, r, which, (side,), window, 1e-8, 64)
+        assert got == _plain_sign_bisection(b, r, which, (side,), window, 1e-8), (b, r, kind)
+        ran.append(tuple(passes))
+    return ran
+
+
+def test_b_edges_match_plain_sign_bisection(monkeypatch):
+    # On the B side of a plateau the plateau return h = G(e) at the flat
+    # piece's exit end e runs ahead of the level gap.  Whichever pass the end
+    # certificate accepts, the edge is that of plain bisection.  Near b = 1
+    # the B edge is a smooth extremum of G, h fails and the level gap decides;
+    # from b = 1.5 on h decides most of the edges.
+    labels = sorted({Fraction(p, q) for q in range(1, 7) for p in range(q)})
+    bs = (1.05, 1.2, 1.5, 2.0, 3.0, 4.0)
+    cases = [(b, r, kind) for b in bs for kind in ("Bl", "Br") for r in labels]
+    ran = dict(zip(cases, _edge_passes(monkeypatch, cases)))
+    assert all(passes[0] == "plateau_return" for passes in ran.values())
+    for b in bs:
+        decided = [passes[-1] for (b_case, _, _), passes in ran.items() if b_case == b]
+        assert set(decided) <= {"plateau_return", "gap"}, (b, decided)
+        if b >= 1.5:
+            assert decided.count("plateau_return") > len(decided) / 2, (b, decided)
+
+
+def test_b_edge_below_the_b_switch_falls_back_to_the_level_gap(monkeypatch):
+    # Bl 0/1 at b = 1.1 lies below the B-switch (b ~ 1.38 for n/1): the edge
+    # is a smooth tangency, the zero of h is not the edge, and the end
+    # certificate rejects the h pass.
+    assert _edge_passes(monkeypatch, [(1.1, ZERO, "Bl")]) == [("plateau_return", "gap")]
