@@ -495,7 +495,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ArnoldTonguesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     _emit(result, args.json)

@@ -22,12 +22,13 @@ brackets the edge between a and a - gap.  A few secant-seeded evaluations
 narrow the bracket below tol; the bisection midpoints outside it need no
 computation.  Both ends of the final bracket are certified with
 level_sign; if either fails, the loop runs again on the next gap of a
-cascade.  Every edge tries the extremal level gap phi (rotation.level_gap),
-whose sign is the certificate's decision, and then the sign gap (+-inf by
-level_sign), which is plain level_sign bisection.  For b > 1 the B side of
-a plateau (Bl, Br) first tries the plateau return h = G(e), q scalar
-steps from the end e of the flat piece through which the plateau's orbit
-leaves: on a B-curve the critical value lands on that orbit.  While
+cascade, and if all fail the window held no edge (BadWindowError).  Every
+edge tries the extremal level gap phi (rotation.level_gap), whose sign is
+the certificate's decision, and then the sign gap (+-inf by level_sign),
+which is plain level_sign bisection.  For b > 1 the B side of a plateau
+(Bl, Br) first tries the plateau return h = G(e), q scalar steps from the
+end e of the flat piece through which the plateau's orbit leaves: on a
+B-curve the critical value lands on that orbit.  While
 level_sign is monotone in a, the edges are bit for bit those of plain
 bisection, whichever pass decides.
 """
@@ -247,12 +248,13 @@ def _locate_edges(
 
     The plateau is where the which-envelope level sign s(a) is 0.  Its left
     edge is where s rises above -1, its right edge where s rises above 0,
-    so each edge has a cut c and the window must satisfy s(lo) <= c < s(hi),
-    otherwise BadWindowError.  s is memoised for the call, so no a is
-    probed twice, the window ends included.
+    so each edge has a cut c.  s is memoised for the call, so no a is
+    probed twice.
 
     Each edge runs _gap_bisect on a cascade of gaps and keeps the first
-    final bracket whose ends s certifies, s(lo) <= c < s(hi):
+    final bracket whose ends s certifies, s(lo) <= c < s(hi), which also
+    proves the window held the edge; else BadWindowError, whose message
+    alone probes the window ends.  The cascade:
       - h, the plateau return G(e) = M^(q-1)(v) - e - p, only on the B side
         for b > 1: the plus plateau's right edge (e = plateau_end) and the
         minus plateau's left edge (e = plateau_start).  Where the edge is a
@@ -277,17 +279,9 @@ def _locate_edges(
         m = lift(a)
         return _closure(m, r)(m.plateau_end if which == PLUS else m.plateau_start)
 
-    s_lo, s_hi = sgn(a_window[0]), sgn(a_window[1])
-    cuts = [-1 if side == "left" else 0 for side in sides]
-    if not all(s_lo <= c < s_hi for c in cuts):
-        target = f"{sides[0]} edge of the " if len(sides) == 1 else ""
-        raise BadWindowError(
-            f"window {a_window!r} does not bracket the {target}{which} plateau "
-            f"of {r} at b={b!r}: end signs ({s_lo}, {s_hi})"
-        )
     b_cut = 0 if which == PLUS else -1  # the B side: Bl, the plus right edge; Br, the minus left
     edges = []
-    for c in cuts:
+    for c in (-1 if side == "left" else 0 for side in sides):
         s = 2 * c + 1  # the gap phi_R for the right edge, phi_L for the left
 
         def sign_gap(a: float) -> float:
@@ -302,6 +296,12 @@ def _locate_edges(
             lo, hi = _gap_bisect(decide, a_window, tol)
             if sgn(lo) <= c < sgn(hi):
                 break
+        else:
+            target = f"{sides[0]} edge of the " if len(sides) == 1 else ""
+            raise BadWindowError(
+                f"window {a_window!r} does not bracket the {target}{which} plateau "
+                f"of {r} at b={b!r}: end signs ({sgn(a_window[0])}, {sgn(a_window[1])})"
+            )
         edges.append((0.5 * (lo + hi), hi - lo))
     return edges
 

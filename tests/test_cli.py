@@ -55,6 +55,19 @@ def test_interval_brute_keys(capsys):
     assert out["brute_hi"] == pytest.approx(0.25, abs=1e-9)
 
 
+def test_allocation_failure_is_a_usage_error(capsys, monkeypatch):
+    # numpy raises a MemoryError subclass for an array too large to allocate,
+    # as for --brute-starts 1000000000000; the patch stands in for that run.
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr("arnoldtongues.cli.rho_bounds_bruteforce", too_large)
+    rc = main(["interval", "--a", "0.1", "--b", "2", "--brute", "--brute-starts", "1000000000000"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "usage error: Unable to allocate 7.28 TiB for an array\n"
+
+
 def test_orbit_failure_exit_code(capsys):
     rc = main(["orbit", "--a", "0.25", "--b", "0", "--rot", "0/1"])
     captured = capsys.readouterr()

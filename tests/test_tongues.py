@@ -57,6 +57,25 @@ def test_window_validation():
         plateau_edges(0.5, ZERO, PLUS, a_window=(0.5, 0.6))
     with pytest.raises(BadWindowError):
         plateau_edges(0.5, ZERO, PLUS, a_window=(0.3, 0.3))
+    # Windows holding no edge: the edge search's end certificates fail, and
+    # the message gives the level signs at the window ends.  The plus 1/3
+    # plateau at b = 2 is [0.29310, 0.34454].
+    r = Fraction(1, 3)
+    for side in ("left", "right"):
+        for window, signs in (((0.0, 0.1), (-1, -1)), ((0.5, 0.6), (1, 1)), ((0.3, 0.34), (0, 0))):
+            with pytest.raises(BadWindowError) as exc:
+                _locate_edges(2.0, r, PLUS, (side,), window, 1e-8, 64)
+            assert str(exc.value) == (
+                f"window {window!r} does not bracket the {side} edge of the plus plateau of 1/3 "
+                f"at b=2.0: end signs {signs}"
+            )
+    for window, message in (
+        ((0.30, 0.6), "window (0.3, 0.6) does not bracket the plus plateau of 1/3 at b=2.0: end signs (0, 1)"),
+        ((0.2, 0.32), "window (0.2, 0.32) does not bracket the plus plateau of 1/3 at b=2.0: end signs (-1, 0)"),
+    ):
+        with pytest.raises(BadWindowError) as exc:
+            plateau_edges(2.0, r, PLUS, a_window=window)
+        assert str(exc.value) == message
 
 
 def test_plateau_edges_input_validation():
@@ -127,6 +146,24 @@ def test_trace_grid_floor_semantics():
 def test_continuation_error_carries_location():
     err = ContinuationLostError("lost", b=2.25)
     assert err.b == 2.25
+
+
+def test_trace_turns_a_lost_bracket_into_continuation_lost(monkeypatch):
+    # From the third sample's b on, the level sign reads -1 everywhere: the
+    # plateau is gone, the cone around the previous edge holds no edge, and
+    # the edge search's BadWindowError becomes the cause.
+    b_lost = 1.0 + 2 * 0.1
+    sign = tongues.level_sign
+
+    def vanishing(m, r, q_max=64):
+        return -1 if m.base.b >= b_lost else sign(m, r, q_max=q_max)
+
+    monkeypatch.setattr(tongues, "level_sign", vanishing)
+    with pytest.raises(ContinuationLostError) as exc:
+        trace_curve("Al", ZERO, (1.0, 1.5), step=0.1)
+    assert exc.value.b == b_lost
+    assert isinstance(exc.value.__cause__, BadWindowError)
+    assert "end signs (-1, -1)" in str(exc.value)
 
 
 def _curve(samples, tol=1e-8, step=1.0):
@@ -484,9 +521,11 @@ def _recording_gap_bisect(monkeypatch):
 
 
 def test_no_level_sign_probe_twice_in_one_edge_search(monkeypatch):
-    # One _locate_edges call memoises level_sign by a: the window ends, every
-    # pass's end certificate and the sign-gap pass's seeding and bisection
-    # share it.  The shrunken level gap forces sign-gap passes.
+    # One _locate_edges call memoises level_sign by a: every pass's end
+    # certificate and the sign-gap pass's seeding and bisection share it.
+    # The shrunken level gap forces sign-gap passes.  A window that holds
+    # its edges is never probed: a certified final bracket proves it, so a
+    # window end is probed only as the end of a final bracket.
     probed = []
     sign = tongues.level_sign
 
@@ -497,12 +536,23 @@ def test_no_level_sign_probe_twice_in_one_edge_search(monkeypatch):
     monkeypatch.setattr(tongues, "level_sign", recording)
     monkeypatch.setattr(tongues, "level_gap", lambda *args, **kw: 1e-3 * level_gap(*args, **kw))
     passes = _recording_gap_bisect(monkeypatch)
+    bracket_ends = set()
+    gap_bisect = tongues._gap_bisect
+
+    def recording_ends(gap, window, tol):
+        lo, hi = gap_bisect(gap, window, tol)
+        bracket_ends.update((lo, hi))
+        return lo, hi
+
+    monkeypatch.setattr(tongues, "_gap_bisect", recording_ends)
     for b, r, which, sides, cone in PARITY_CASES:
         window = _parity_window(b, r, which, sides, cone)
         probed.clear()
+        bracket_ends.clear()
         got = _locate_edges(b, r, which, sides, window, 1e-8, 64)
         assert got == _plain_sign_bisection(b, r, which, sides, window, 1e-8)
         assert len(probed) == len(set(probed)), (b, r, which, sides)
+        assert not (set(window) & set(probed)) - bracket_ends, (b, r, which, sides)
     assert "sign_gap" in passes
 
 
