@@ -2,9 +2,11 @@
 
 The raster samples rotation-interval endpoints at cell centers, snaps
 them to small-denominator rationals, and can be drawn as a binary PPM or
-dumped as CSV.  Its rows iterate maps._step, the one array lift step, through
-rotation._iterate, the one winding-reduced kernel.  Cells are pure functions
-of their center coordinates, so output is byte-identical whatever the worker count.
+dumped as CSV.  Its rows iterate maps._step, the one array lift step, in
+one winding-reduced loop (_landing_iterate) that stops each cell once its
+orbit lands twice in one state and adds the whole periods left exactly, so
+its bits are those of rotation._iterate.  Cells are pure functions of their
+center coordinates, so output is byte-identical whatever the worker count.
 
 Each CSV artifact (raster, curve, region) has one schema, a header and a
 row template, which its writer and its loader share.
@@ -24,7 +26,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, 
 import numpy as np
 
 from .maps import MINUS, PLUS, TWO_PI, Params, _step, envelope
-from .rotation import Rational, _check_n_iter, _iterate, rho_exact_rational_test
+from .rotation import _EXACT, Rational, _check_n_iter, rho_exact_rational_test
 from .tongues import BoundaryCurve, Region
 
 # Defaults for raster cells: iteration count and snapping.
@@ -84,42 +86,107 @@ def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def _plateau_rows(bvec: np.ndarray) -> np.ndarray:
-    """Fold (w, lo, hi) and plateau value of the a = 0 envelopes of b > 1 rows.
+    """Fold (w, lo, hi) and plateau value of the a = 0 stacked rows of a block, as column vectors.
 
-    Lower-envelope rows come first, then upper ones, as column vectors.  A
-    row folds y into [w, w + 1) and is flat where lo <= t <= hi, as
-    MonotoneLift._fold decides; its flat value at a is the plateau value
-    plus a, since the lift at a is the lift at 0 plus a.
+    One row per b, its lower envelope's for b > 1, then the upper envelope's
+    of each b > 1 row.  A row folds y into [w, w + 1) and is flat where
+    lo <= t <= hi, as MonotoneLift._fold decides; its flat value at a is the
+    plateau value plus a, since the lift at a is the lift at 0 plus a.  A
+    b <= 1 row is the lift, which both envelopes equal, folded as an
+    envelope that is never flat: w = 0 keeps a reduced y as t = y, and
+    lo = inf > hi = -inf.
     """
     ms = [envelope(Params(0.0, b), which) for which in (MINUS, PLUS) for b in bvec.tolist()]
-    return np.array([(*m._fold, m.plateau_value) for m in ms]).T[:, :, None]
+    return np.array(
+        [
+            (*m._fold, m.plateau_value) if m._fold else (0.0, math.inf, -math.inf, 0.0)
+            for m in ms
+            if m._fold or m.which == MINUS
+        ]
+    ).T[:, :, None]
+
+
+def _landing_iterate(a: np.ndarray, c: np.ndarray, fold: Tuple, n: int) -> np.ndarray:
+    """The n-fold rotation._iterate of _step(y, a, c, fold) from y = 0, for 1-D arrays of cells.
+
+    A cell stops once its orbit has entered a cycle.  Its landing states are
+    the reduced flat value v + m for the two folds m = floor(-w) and
+    floor(-w) + 1 that a reduced y can take.  They may differ in bits, so
+    each keeps the step and wind of its first hit.  A second hit of one state
+    gives the period lam (the steps between the hits) and the winding W (the
+    wind between them), since a step depends on the reduced y alone.  The
+    whole periods left add (rest // lam) * W at once, the rest % lam steps
+    left run, and the finished cells are compacted out of the arrays.  The
+    winding is a sum of integer-valued floats, exact below 2**53, so every
+    bit is the plain loop's: cells jump only when n > 64 and
+    (|a| + c + 3) n < 2**53 bounds every partial winding, as in
+    rotation._scalar_iterate.  Otherwise every cell runs all n steps.
+    """
+    w, lo, hi, v = fold
+    y, wind, out = np.zeros((3, len(a)))
+    live = np.arange(len(a))  # each remaining cell's index in out
+    end = np.full(len(a), n)  # the step after which each cell is done
+    # Rows: a, c, w, lo, hi, v, the two landing states, the steps and the winds of their first hits.
+    m = np.floor(-w)
+    cells = np.vstack([a, c, w, lo, hi, v, v + m, v + (m + 1.0), np.full((4, len(a)), -1.0)])
+    lands, first, first_wind = cells[6:8], cells[8:10], cells[10:12]
+    lands -= np.floor(lands)
+    lands[1, lands[1] == lands[0]] = math.nan  # one record per distinct state
+    jump = n > 64 and (np.abs(a).max() + c.max() + 3.0) * n < _EXACT
+    stop = n
+    for i in range(1, n + 1):
+        y = _step(y, cells[0], cells[1], cells[2:6])
+        k = np.floor(y)
+        wind += k
+        y -= k
+        if jump:
+            hit = y == lands
+            if hit.any():
+                s, j = np.nonzero(hit)
+                again = first[s, j] >= 0.0
+                first[s[~again], j[~again]] = i
+                first_wind[s[~again], j[~again]] = wind[j[~again]]
+                s, j = s[again], j[again]
+                if len(j):
+                    lam = i - first[s, j].astype(int)
+                    wind[j] += (n - i) // lam * (wind[j] - first_wind[s, j])
+                    end[j] = i + (n - i) % lam
+                    lands[:, j] = math.nan
+                    stop = min(stop, int(end[j].min()))
+        if i == stop:
+            done = end == i
+            out[live[done]] = y[done] + wind[done]
+            keep = ~done
+            if not keep.any():
+                break
+            y, wind, live, end, cells = y[keep], wind[keep], live[keep], end[keep], cells[:, keep]
+            lands, first, first_wind = cells[6:8], cells[8:10], cells[10:12]
+            stop = int(end.min())
+    return out
 
 
 def _raster_block(args: Tuple[np.ndarray, np.ndarray, int]) -> Tuple[np.ndarray, np.ndarray]:
     """Endpoint estimates for a block of constant-b rows of cells.
 
-    The block is iterated as one array by rotation._iterate, a row per b and
-    a column per a, each step one maps._step.  Rows with b <= 1 step the lift
-    itself, which both envelopes equal.  Rows with b > 1 step both envelopes
-    at once, the lower envelope's rows stacked above the upper's, each folded
-    and flattened as its envelope decides (_plateau_rows).  Every cell gets
-    the same bits whatever the block it is in, since _step's mask keeps them.
+    The block's stacked rows (_plateau_rows), one per b and a second for
+    b > 1, run as one array of cells through _landing_iterate, each step one
+    maps._step: a row per envelope and a column per a.  Rows with b <= 1
+    step the lift itself, which both envelopes equal, through a fold that is
+    never flat.  It leaves every reduced y below 1 unchanged.  At y = 1.0,
+    which y - floor(y) rounds up to from within 2**-54 below 0, it steps
+    t = 0 and adds 1: the lift's bits unless the float 1 + a lies in
+    (-1/2, 1/2], since |c sin 2 pi| < 2**-54.  Every cell gets the same
+    bits whatever the block it is in, since _step's mask keeps them.
     """
     bvec, avec, n_iter = args
-    coef = (bvec / TWO_PI)[:, None]
-    plain = bvec <= 1.0
-    rho_minus, rho_plus = np.empty((2, len(bvec), len(avec)))
-
-    def rho(c: np.ndarray, fold: Optional[Tuple] = None) -> np.ndarray:
-        # The estimates of the rows whose coefficients b / 2 pi are c, stepped with fold.
-        return _iterate(lambda y: _step(y, avec, c, fold), np.zeros((len(c), len(avec))), n_iter) / n_iter
-
-    if plain.any():
-        rho_minus[plain] = rho_plus[plain] = rho(coef[plain])
-    if not plain.all():
-        w, lo, hi, value = _plateau_rows(bvec[~plain])
-        c = np.vstack([coef[~plain]] * 2)
-        rho_minus[~plain], rho_plus[~plain] = np.split(rho(c, (w, lo, hi, value + avec)), 2)
+    steep = bvec > 1.0
+    c = np.concatenate([bvec, bvec[steep]]) / TWO_PI
+    rows, na = len(c), len(avec)
+    w, lo, hi, value = (np.broadcast_to(col, (rows, na)).ravel() for col in _plateau_rows(bvec))
+    a = np.tile(avec, rows)
+    est = _landing_iterate(a, np.repeat(c, na), (w, lo, hi, value + a), n_iter).reshape(rows, na) / n_iter
+    rho_minus, rho_plus = est[: len(bvec)], est[: len(bvec)].copy()
+    rho_plus[steep] = est[len(bvec) :]
     return rho_minus, rho_plus
 
 

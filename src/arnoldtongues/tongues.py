@@ -294,7 +294,9 @@ def _locate_edges(
         gaps = (plateau_return, gap, sign_gap) if c == b_cut and b > 1.0 else (gap, sign_gap)
         for decide in gaps:
             lo, hi = _gap_bisect(decide, a_window, tol)
-            if sgn(lo) <= c < sgn(hi):
+            # A failed pass fails at hi on the plus side (h's zero is at or left of Bl) and at lo
+            # on the minus side (right of Br), so that end is probed first.
+            if (c < sgn(hi) and sgn(lo) <= c) if which == PLUS else (sgn(lo) <= c < sgn(hi)):
                 break
         else:
             target = f"{sides[0]} edge of the " if len(sides) == 1 else ""

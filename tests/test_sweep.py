@@ -209,6 +209,112 @@ def test_raster_matches_plain_math_bits():
             assert g.rho_plus[j, i] == _reference_rho(a, b, PLUS, n_iter), (a, b)
 
 
+def _landings(a, b, which, n_iter):
+    """The two landing states of one b > 1 cell and the (step, state) of each landing in n_iter plain steps.
+
+    A landing state is the reduced flat value v + m for the folds m = floor(-w)
+    and floor(-w) + 1 that a reduced y can take; the steps are the raster's.
+    """
+    coef = b / TWO_PI
+    m0 = envelope(Params(0.0, b), which)
+    (w, lo, hi), v = m0._fold, m0.plateau_value + a
+    m = math.floor(-w)
+    lands = [(v + m) - math.floor(v + m), (v + (m + 1.0)) - math.floor(v + (m + 1.0))]
+    y, hits = 0.0, []
+    for i in range(1, n_iter + 1):
+        n = math.floor(y - w)
+        t = y - n
+        y = (v if lo <= t <= hi else t + a + coef * math.sin(TWO_PI * t)) + n
+        y -= math.floor(y)
+        hits += [(i, s) for s, land in enumerate(lands) if y == land]
+    return lands, hits
+
+
+def _assert_raster_is_plain_math(g, n_iter):
+    for j, b in enumerate(g.bvec.tolist()):
+        for i, a in enumerate(g.avec.tolist()):
+            assert g.rho_minus[j, i] == _reference_rho(a, b, MINUS, n_iter), (a, b, n_iter)
+            assert g.rho_plus[j, i] == _reference_rho(a, b, PLUS, n_iter), (a, b, n_iter)
+
+
+def test_raster_cycle_jump_keeps_the_bits():
+    # A b > 1 cell stops at the second landing in one state and adds the
+    # whole periods left at once; the steps short of one more period still
+    # run.  At odd n_iter most of those remainders are nonzero.
+    for n_iter in (65, 997, 4099):
+        g = raster(-0.2, 1.1, 0.4, 2.6, 7, 6, n_iter=n_iter, workers=1)
+        assert g.bvec.min() < 1.0 < g.bvec.max()
+        _assert_raster_is_plain_math(g, n_iter)
+        remainders = []
+        for b in g.bvec[g.bvec > 1.0].tolist():
+            for a in g.avec.tolist():
+                for which in (MINUS, PLUS):
+                    first = {}
+                    for i, s in _landings(a, b, which, n_iter)[1]:
+                        if s in first:
+                            remainders.append((n_iter - i) % (i - first[s]))
+                            break
+                        first[s] = i
+        assert len(remainders) > 20 and sum(r > 0 for r in remainders) > len(remainders) / 4, n_iter
+
+
+def test_raster_cells_that_land_in_both_states():
+    # v + m and v + m + 1 can reduce to different bits, so each landing state
+    # keeps its own first hit.  At a = 1.2, b = 7.0625 the lower envelope's
+    # orbit lands once in the first state and then cycles in the second.
+    g = raster(0.9, 1.5, 5.5, 8.0, 5, 4, n_iter=997, workers=1)
+    assert 1.2 in g.avec.tolist() and 7.0625 in g.bvec.tolist()
+    lands, hits = _landings(1.2, 7.0625, MINUS, 997)
+    assert lands[0] != lands[1]
+    assert hits[:3] == [(1, 0), (3, 1), (5, 1)]
+    _assert_raster_is_plain_math(g, 997)
+
+
+def test_raster_never_flat_fold_at_reduced_one():
+    # a = -1e-17 sends y = 0 to just below 0, which y - floor(y) rounds up to
+    # 1.0.  A b <= 1 row's never-flat fold steps t = 0 there and adds 1, which
+    # rounds as the lift at y = 1 does since the float 1 + a is 1.
+    g = raster(-2e-17, 0.0, 0.2, 0.8, 1, 3, n_iter=101, workers=1)
+    a = float(g.avec[0])
+    assert a - math.floor(a) == 1.0
+    _assert_raster_is_plain_math(g, 101)
+
+
+def _counting_step(monkeypatch):
+    """Patch sweep._step to add the size of each array it steps to the returned one-element list."""
+    step = sweep._step
+    count = [0]
+
+    def counting(y, *args):
+        count[0] += y.size
+        return step(y, *args)
+
+    monkeypatch.setattr(sweep, "_step", counting)
+    return count
+
+
+def test_raster_without_the_jump_guard_runs_every_step(monkeypatch):
+    # (|a| + b/2pi + 3) n_iter >= 2**53: a winding could leave the exact
+    # integers, so no cell jumps and every stacked row runs all n_iter steps.
+    count = _counting_step(monkeypatch)
+    n_iter = 65
+    g = raster(1.5e14, 1.5e14, 0.5, 2.5, 1, 3, n_iter=n_iter, workers=1)
+    assert (1.5e14 + 3.0) * n_iter >= 2.0**53
+    rows = sum(1 if b <= 1.0 else 2 for b in g.bvec.tolist())
+    assert count[0] == rows * g.na * n_iter
+    _assert_raster_is_plain_math(g, n_iter)
+
+
+def test_raster_stops_cells_at_their_cycle(monkeypatch):
+    # The benchmark's raster: most b > 1 cells stop within a few dozen
+    # steps, so the element-steps fall below half of every stacked row
+    # (one per b <= 1 row, two per b > 1 row) running all n_iter steps.
+    count = _counting_step(monkeypatch)
+    g = raster(0.0, 1.0, 0.0, 3.0, 48, 48, n_iter=1000, workers=1)
+    rows = sum(1 if b <= 1.0 else 2 for b in g.bvec.tolist())
+    assert count[0] < 0.5 * rows * g.na * 1000
+
+
 def _assert_snap_grid_matches(values, tol, q_max):
     values = np.asarray(values, dtype=float).reshape(-1, 1)
     grid = _snap_grid(values, tol, q_max)
