@@ -3,9 +3,9 @@
 The raster samples rotation-interval endpoints at cell centers, snaps
 them to small-denominator rationals, and can be drawn as a binary PPM or
 dumped as CSV.  Its rows iterate maps._step, the one array lift step, in
-one winding-reduced loop (_landing_iterate) that stops each cell once its
-orbit lands twice in one state and adds the whole periods left exactly, so
-its bits are those of rotation._iterate.  Cells are pure functions of their
+one winding-reduced loop (_cycle_iterate) that stops each cell once its
+float orbit repeats and adds the whole periods left exactly, so its bits
+are those of rotation._iterate.  Cells are pure functions of their
 center coordinates, so output is byte-identical whatever the worker count.
 
 Each CSV artifact (raster, curve, region) has one schema, a header and a
@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, 
 import numpy as np
 
 from .maps import MINUS, PLUS, TWO_PI, Params, _step, envelope
-from .rotation import _EXACT, Rational, _check_n_iter, rho_exact_rational_test
+from .rotation import _CYCLE_STEPS, _EXACT, Rational, _check_n_iter, rho_exact_rational_test
 from .tongues import BoundaryCurve, Region
 
 # Defaults for raster cells: iteration count and snapping.
@@ -86,72 +86,60 @@ def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def _plateau_rows(bvec: np.ndarray) -> np.ndarray:
-    """Fold (w, lo, hi) and plateau value of the a = 0 stacked rows of a block, as column vectors.
+    """Fold (w, lo, hi) and plateau value of the a = 0 envelopes of b > 1 rows, as column vectors.
 
-    One row per b, its lower envelope's for b > 1, then the upper envelope's
-    of each b > 1 row.  A row folds y into [w, w + 1) and is flat where
-    lo <= t <= hi, as MonotoneLift._fold decides; its flat value at a is the
-    plateau value plus a, since the lift at a is the lift at 0 plus a.  A
-    b <= 1 row is the lift, which both envelopes equal, folded as an
-    envelope that is never flat: w = 0 keeps a reduced y as t = y, and
-    lo = inf > hi = -inf.
+    The lower envelope's row of each b, then the upper envelope's.  A row
+    folds y into [w, w + 1) and is flat where lo <= t <= hi, as
+    MonotoneLift._fold decides; its flat value at a is the plateau value
+    plus a, since the lift at a is the lift at 0 plus a.
     """
     ms = [envelope(Params(0.0, b), which) for which in (MINUS, PLUS) for b in bvec.tolist()]
-    return np.array(
-        [
-            (*m._fold, m.plateau_value) if m._fold else (0.0, math.inf, -math.inf, 0.0)
-            for m in ms
-            if m._fold or m.which == MINUS
-        ]
-    ).T[:, :, None]
+    return np.array([(*m._fold, m.plateau_value) for m in ms]).reshape(-1, 4).T[:, :, None]
 
 
-def _landing_iterate(a: np.ndarray, c: np.ndarray, fold: Tuple, n: int) -> np.ndarray:
+def _cycle_iterate(a: np.ndarray, c: np.ndarray, fold: Optional[Tuple], n: int) -> np.ndarray:
     """The n-fold rotation._iterate of _step(y, a, c, fold) from y = 0, for 1-D arrays of cells.
 
-    A cell stops once its orbit has entered a cycle.  Its landing states are
-    the reduced flat value v + m for the two folds m = floor(-w) and
-    floor(-w) + 1 that a reduced y can take.  They may differ in bits, so
-    each keeps the step and wind of its first hit.  A second hit of one state
-    gives the period lam (the steps between the hits) and the winding W (the
-    wind between them), since a step depends on the reduced y alone.  The
-    whole periods left add (rest // lam) * W at once, the rest % lam steps
-    left run, and the finished cells are compacted out of the arrays.  The
-    winding is a sum of integer-valued floats, exact below 2**53, so every
+    A cell stops once its float orbit repeats (Brent's cycle check, as in
+    rotation._scalar_iterate).  Every cell starts at y = 0, so all share one
+    schedule of marks: y and the wind are kept at steps 1, 2, 4, ..., and a
+    later y equal to a cell's kept one gives the period lam (the steps since
+    the mark) and the winding W (the wind since it), since a step depends on
+    the reduced y alone.  The whole periods left add (rest // lam) * W at
+    once, the rest % lam steps left run, and the finished cells are compacted
+    out of the arrays.  A cell that has jumped is done within lam - 1 steps,
+    before it could hit again: lam steps on, or lam steps past the next mark.
+    The winding is a sum of integer-valued floats, exact below 2**53, so every
     bit is the plain loop's: cells jump only when n > 64 and
-    (|a| + c + 3) n < 2**53 bounds every partial winding, as in
-    rotation._scalar_iterate.  Otherwise every cell runs all n steps.
+    (|a| + c + 3) n < 2**53 bounds every partial winding, and the check runs
+    only over the first _CYCLE_STEPS steps, as in rotation._scalar_iterate.
+    Otherwise every cell runs all n steps.
     """
-    w, lo, hi, v = fold
     y, wind, out = np.zeros((3, len(a)))
+    if not len(a):
+        return out
     live = np.arange(len(a))  # each remaining cell's index in out
     end = np.full(len(a), n)  # the step after which each cell is done
-    # Rows: a, c, w, lo, hi, v, the two landing states, the steps and the winds of their first hits.
-    m = np.floor(-w)
-    cells = np.vstack([a, c, w, lo, hi, v, v + m, v + (m + 1.0), np.full((4, len(a)), -1.0)])
-    lands, first, first_wind = cells[6:8], cells[8:10], cells[10:12]
-    lands -= np.floor(lands)
-    lands[1, lands[1] == lands[0]] = math.nan  # one record per distinct state
-    jump = n > 64 and (np.abs(a).max() + c.max() + 3.0) * n < _EXACT
-    stop = n
+    # Rows: a, c, y and wind at the last mark, and the fold's w, lo, hi and v if any.
+    cells = np.vstack([a, c, np.zeros((2, len(a))), *(fold or ())])
+    check = n > 64 and (np.abs(a).max() + c.max() + 3.0) * n < _EXACT
+    stop, nxt = n, 1
     for i in range(1, n + 1):
-        y = _step(y, cells[0], cells[1], cells[2:6])
+        y = _step(y, cells[0], cells[1], cells[4:] if fold else None)
         k = np.floor(y)
         wind += k
         y -= k
-        if jump:
-            hit = y == lands
-            if hit.any():
-                s, j = np.nonzero(hit)
-                again = first[s, j] >= 0.0
-                first[s[~again], j[~again]] = i
-                first_wind[s[~again], j[~again]] = wind[j[~again]]
-                s, j = s[again], j[again]
-                if len(j):
-                    lam = i - first[s, j].astype(int)
-                    wind[j] += (n - i) // lam * (wind[j] - first_wind[s, j])
+        if check:
+            if i == nxt:
+                mark, nxt, check = i, 2 * i, 2 * i <= _CYCLE_STEPS
+                cells[2:4] = y, wind
+            else:
+                hit = y == cells[2]
+                if hit.any():
+                    j = np.flatnonzero(hit)
+                    lam = i - mark
+                    wind[j] += (n - i) // lam * (wind[j] - cells[3, j])
                     end[j] = i + (n - i) % lam
-                    lands[:, j] = math.nan
                     stop = min(stop, int(end[j].min()))
         if i == stop:
             done = end == i
@@ -160,7 +148,6 @@ def _landing_iterate(a: np.ndarray, c: np.ndarray, fold: Tuple, n: int) -> np.nd
             if not keep.any():
                 break
             y, wind, live, end, cells = y[keep], wind[keep], live[keep], end[keep], cells[:, keep]
-            lands, first, first_wind = cells[6:8], cells[8:10], cells[10:12]
             stop = int(end.min())
     return out
 
@@ -168,25 +155,31 @@ def _landing_iterate(a: np.ndarray, c: np.ndarray, fold: Tuple, n: int) -> np.nd
 def _raster_block(args: Tuple[np.ndarray, np.ndarray, int]) -> Tuple[np.ndarray, np.ndarray]:
     """Endpoint estimates for a block of constant-b rows of cells.
 
-    The block's stacked rows (_plateau_rows), one per b and a second for
-    b > 1, run as one array of cells through _landing_iterate, each step one
-    maps._step: a row per envelope and a column per a.  Rows with b <= 1
-    step the lift itself, which both envelopes equal, through a fold that is
-    never flat.  It leaves every reduced y below 1 unchanged.  At y = 1.0,
-    which y - floor(y) rounds up to from within 2**-54 below 0, it steps
-    t = 0 and adds 1: the lift's bits unless the float 1 + a lies in
-    (-1/2, 1/2], since |c sin 2 pi| < 2**-54.  Every cell gets the same
+    The rows with b <= 1 step the lift itself, which both envelopes equal,
+    and the b > 1 rows stack a row per envelope, folded as _plateau_rows
+    gives.  Each of the two runs as one array of cells, a row per envelope
+    and a column per a, through _cycle_iterate, each step one maps._step.
+    They run apart because the lift's step costs about half the fold's, and
+    b <= 1 cells that do not lock run every step.  Every cell gets the same
     bits whatever the block it is in, since _step's mask keeps them.
     """
     bvec, avec, n_iter = args
     steep = bvec > 1.0
-    c = np.concatenate([bvec, bvec[steep]]) / TWO_PI
-    rows, na = len(c), len(avec)
-    w, lo, hi, value = (np.broadcast_to(col, (rows, na)).ravel() for col in _plateau_rows(bvec))
-    a = np.tile(avec, rows)
-    est = _landing_iterate(a, np.repeat(c, na), (w, lo, hi, value + a), n_iter).reshape(rows, na) / n_iter
-    rho_minus, rho_plus = est[: len(bvec)], est[: len(bvec)].copy()
-    rho_plus[steep] = est[len(bvec) :]
+    na, b = len(avec), bvec[steep]
+
+    def rows(c: np.ndarray, fold: Optional[np.ndarray]) -> np.ndarray:
+        # The estimates of stacked rows, c = b / 2 pi per row, folded as fold's columns if any.
+        a = np.tile(avec, len(c))
+        if fold is not None:
+            w, lo, hi, value = (np.broadcast_to(col, (len(c), na)).ravel() for col in fold)
+            fold = (w, lo, hi, value + a)
+        return _cycle_iterate(a, np.repeat(c, na), fold, n_iter).reshape(len(c), na) / n_iter
+
+    est = rows(np.concatenate([b, b]) / TWO_PI, _plateau_rows(b))
+    rho_minus = np.empty((len(bvec), na))
+    rho_minus[~steep], rho_minus[steep] = rows(bvec[~steep] / TWO_PI, None), est[: len(b)]
+    rho_plus = rho_minus.copy()
+    rho_plus[steep] = est[len(b) :]
     return rho_minus, rho_plus
 
 

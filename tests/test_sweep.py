@@ -27,6 +27,7 @@ from arnoldtongues import (
     trace_curve,
 )
 from arnoldtongues import sweep
+from arnoldtongues.rotation import _CYCLE_STEPS
 from arnoldtongues.sweep import _BLOCK_ROWS, _plateau_rows, _snap_grid
 
 TWO_PI = 2.0 * math.pi
@@ -209,75 +210,56 @@ def test_raster_matches_plain_math_bits():
             assert g.rho_plus[j, i] == _reference_rho(a, b, PLUS, n_iter), (a, b)
 
 
-def _landings(a, b, which, n_iter):
-    """The two landing states of one b > 1 cell and the (step, state) of each landing in n_iter plain steps.
+def _orbit(a, b, which, n_iter):
+    """(reduced y, took the flat branch) after each of n_iter plain-math steps of one cell from y = 0.
 
-    A landing state is the reduced flat value v + m for the folds m = floor(-w)
-    and floor(-w) + 1 that a reduced y can take; the steps are the raster's.
+    The steps are _reference_rho's, in the raster's operation order.
     """
     coef = b / TWO_PI
     m0 = envelope(Params(0.0, b), which)
-    (w, lo, hi), v = m0._fold, m0.plateau_value + a
-    m = math.floor(-w)
-    lands = [(v + m) - math.floor(v + m), (v + (m + 1.0)) - math.floor(v + (m + 1.0))]
-    y, hits = 0.0, []
-    for i in range(1, n_iter + 1):
-        n = math.floor(y - w)
-        t = y - n
-        y = (v if lo <= t <= hi else t + a + coef * math.sin(TWO_PI * t)) + n
+    y, steps = 0.0, []
+    for _ in range(n_iter):
+        if m0._fold is None:
+            y, flat = y + a + coef * math.sin(TWO_PI * y), False
+        else:
+            (w, lo, hi), v = m0._fold, m0.plateau_value + a
+            n = math.floor(y - w)
+            t = y - n
+            flat = lo <= t <= hi
+            y = (v if flat else t + a + coef * math.sin(TWO_PI * t)) + n
         y -= math.floor(y)
-        hits += [(i, s) for s, land in enumerate(lands) if y == land]
-    return lands, hits
+        steps.append((y, flat))
+    return steps
 
 
-def _assert_raster_is_plain_math(g, n_iter):
-    for j, b in enumerate(g.bvec.tolist()):
-        for i, a in enumerate(g.avec.tolist()):
-            assert g.rho_minus[j, i] == _reference_rho(a, b, MINUS, n_iter), (a, b, n_iter)
-            assert g.rho_plus[j, i] == _reference_rho(a, b, PLUS, n_iter), (a, b, n_iter)
+def _first_repeat(orbit, window=_CYCLE_STEPS):
+    """(step, period) at which the raster's cycle check first sees the orbit repeat, or None.
+
+    Brent's check with the marks every cell shares: y is kept at steps 1, 2, 4, ...
+    and compared at the other steps, until a mark's successor lies past the window.
+    """
+    nxt = 1
+    for i, (y, _) in enumerate(orbit, 1):
+        if i == nxt:
+            if 2 * i > window:
+                return None
+            mark, nxt, kept = i, 2 * i, y
+        elif y == kept:
+            return i, i - mark
+    return None
 
 
-def test_raster_cycle_jump_keeps_the_bits():
-    # A b > 1 cell stops at the second landing in one state and adds the
-    # whole periods left at once; the steps short of one more period still
-    # run.  At odd n_iter most of those remainders are nonzero.
-    for n_iter in (65, 997, 4099):
-        g = raster(-0.2, 1.1, 0.4, 2.6, 7, 6, n_iter=n_iter, workers=1)
-        assert g.bvec.min() < 1.0 < g.bvec.max()
-        _assert_raster_is_plain_math(g, n_iter)
-        remainders = []
-        for b in g.bvec[g.bvec > 1.0].tolist():
-            for a in g.avec.tolist():
-                for which in (MINUS, PLUS):
-                    first = {}
-                    for i, s in _landings(a, b, which, n_iter)[1]:
-                        if s in first:
-                            remainders.append((n_iter - i) % (i - first[s]))
-                            break
-                        first[s] = i
-        assert len(remainders) > 20 and sum(r > 0 for r in remainders) > len(remainders) / 4, n_iter
+def _cell_steps(repeat, n_iter):
+    """The steps the raster runs for a cell whose check gives repeat: to it, then the rest % period left."""
+    if repeat is None:
+        return n_iter
+    i, lam = repeat
+    return i + (n_iter - i) % lam
 
 
-def test_raster_cells_that_land_in_both_states():
-    # v + m and v + m + 1 can reduce to different bits, so each landing state
-    # keeps its own first hit.  At a = 1.2, b = 7.0625 the lower envelope's
-    # orbit lands once in the first state and then cycles in the second.
-    g = raster(0.9, 1.5, 5.5, 8.0, 5, 4, n_iter=997, workers=1)
-    assert 1.2 in g.avec.tolist() and 7.0625 in g.bvec.tolist()
-    lands, hits = _landings(1.2, 7.0625, MINUS, 997)
-    assert lands[0] != lands[1]
-    assert hits[:3] == [(1, 0), (3, 1), (5, 1)]
-    _assert_raster_is_plain_math(g, 997)
-
-
-def test_raster_never_flat_fold_at_reduced_one():
-    # a = -1e-17 sends y = 0 to just below 0, which y - floor(y) rounds up to
-    # 1.0.  A b <= 1 row's never-flat fold steps t = 0 there and adds 1, which
-    # rounds as the lift at y = 1 does since the float 1 + a is 1.
-    g = raster(-2e-17, 0.0, 0.2, 0.8, 1, 3, n_iter=101, workers=1)
-    a = float(g.avec[0])
-    assert a - math.floor(a) == 1.0
-    _assert_raster_is_plain_math(g, 101)
+def _envelopes(b):
+    """The stacked rows of one b: the lift itself for b <= 1, else one per envelope."""
+    return (MINUS,) if b <= 1.0 else (MINUS, PLUS)
 
 
 def _counting_step(monkeypatch):
@@ -293,6 +275,92 @@ def _counting_step(monkeypatch):
     return count
 
 
+def _assert_raster_is_plain_math(g, n_iter):
+    for j, b in enumerate(g.bvec.tolist()):
+        for i, a in enumerate(g.avec.tolist()):
+            assert g.rho_minus[j, i] == _reference_rho(a, b, MINUS, n_iter), (a, b, n_iter)
+            assert g.rho_plus[j, i] == _reference_rho(a, b, PLUS, n_iter), (a, b, n_iter)
+
+
+def test_raster_cycle_jump_keeps_the_bits(monkeypatch):
+    # A cell stops at the first repeat of its reduced y and adds the whole
+    # periods left at once; the steps short of one more period still run.  At
+    # odd n_iter over a quarter of those remainders are nonzero.  Every cell
+    # runs exactly the steps of the plain-math check, so the element-steps
+    # are their sum.
+    count = _counting_step(monkeypatch)
+    for n_iter in (65, 997, 4099):
+        count[0] = 0
+        g = raster(-0.2, 1.1, 0.4, 2.6, 7, 6, n_iter=n_iter, workers=1)
+        assert g.bvec.min() < 1.0 < g.bvec.max()
+        _assert_raster_is_plain_math(g, n_iter)
+        remainders, steps = [], 0
+        for b in g.bvec.tolist():
+            for a in g.avec.tolist():
+                for which in _envelopes(b):
+                    repeat = _first_repeat(_orbit(a, b, which, n_iter))
+                    steps += _cell_steps(repeat, n_iter)
+                    if repeat is not None:
+                        remainders.append((n_iter - repeat[0]) % repeat[1])
+        assert count[0] == steps, n_iter
+        assert len(remainders) > 20 and sum(r > 0 for r in remainders) > len(remainders) / 4, n_iter
+
+
+def test_raster_cells_that_land_in_both_states():
+    # v + m and v + m + 1 can reduce to different bits, so a landing is not
+    # a repeat; the check compares the whole reduced y.  At a = 1.2,
+    # b = 7.0625 the lower envelope's orbit lands at step 1 and then every
+    # other step one ulp lower, so its first repeat is at step 6, period 2.
+    g = raster(0.9, 1.5, 5.5, 8.0, 5, 4, n_iter=997, workers=1)
+    assert 1.2 in g.avec.tolist() and 7.0625 in g.bvec.tolist()
+    orbit = _orbit(1.2, 7.0625, MINUS, 997)
+    assert [i for i, (_, flat) in enumerate(orbit[:8], 1) if flat] == [1, 3, 5, 7]
+    assert orbit[0][0] != orbit[2][0] == orbit[4][0]
+    assert _first_repeat(orbit) == (6, 2)
+    _assert_raster_is_plain_math(g, 997)
+
+
+# Cells whose float orbits repeat off the flat piece: the lower envelope at
+# a = 0.28125, b = 1.975625 lands on it once and then nears an attracting
+# fixed point, and the lift at a = 0.05, b = 0.8, which has no flat piece,
+# locks to 0/1.
+_OFF_FLAT_CELLS = ((0.28125, 1.975625), (0.05, 0.8))
+
+
+def test_raster_stops_cells_that_cycle_off_the_flat_piece(monkeypatch):
+    assert sum(flat for _, flat in _orbit(0.28125, 1.975625, MINUS, 1000)) == 1
+    count = _counting_step(monkeypatch)
+    for a, b in _OFF_FLAT_CELLS:
+        count[0] = 0
+        g = raster(a, a, b, b, 1, 1, n_iter=1000, workers=1)
+        assert (g.avec[0], g.bvec[0]) == (a, b)
+        steps = [_cell_steps(_first_repeat(_orbit(a, b, which, 1000)), 1000) for which in _envelopes(b)]
+        assert count[0] == sum(steps) and steps[0] <= 40, (a, b, steps)
+        _assert_raster_is_plain_math(g, 1000)
+
+
+def test_raster_cycle_check_window(monkeypatch):
+    # Past the window no repeat is looked for: with the window at 8 steps,
+    # the cells above, whose orbits first repeat later, run every step.
+    monkeypatch.setattr(sweep, "_CYCLE_STEPS", 8)
+    count = _counting_step(monkeypatch)
+    for a, b in _OFF_FLAT_CELLS:
+        assert all(_first_repeat(_orbit(a, b, which, 1000), 8) is None for which in _envelopes(b))
+        count[0] = 0
+        g = raster(a, a, b, b, 1, 1, n_iter=1000, workers=1)
+        assert count[0] == len(_envelopes(b)) * 1000
+        _assert_raster_is_plain_math(g, 1000)
+
+
+def test_raster_lift_rows_at_reduced_one():
+    # a = -1e-17 sends y = 0 to just below 0, which y - floor(y) rounds up to
+    # 1.0.  A b <= 1 row steps the lift itself from there, as plain math does.
+    g = raster(-2e-17, 0.0, 0.2, 0.8, 1, 3, n_iter=101, workers=1)
+    a = float(g.avec[0])
+    assert a - math.floor(a) == 1.0
+    _assert_raster_is_plain_math(g, 101)
+
+
 def test_raster_without_the_jump_guard_runs_every_step(monkeypatch):
     # (|a| + b/2pi + 3) n_iter >= 2**53: a winding could leave the exact
     # integers, so no cell jumps and every stacked row runs all n_iter steps.
@@ -306,13 +374,15 @@ def test_raster_without_the_jump_guard_runs_every_step(monkeypatch):
 
 
 def test_raster_stops_cells_at_their_cycle(monkeypatch):
-    # The benchmark's raster: most b > 1 cells stop within a few dozen
-    # steps, so the element-steps fall below half of every stacked row
-    # (one per b <= 1 row, two per b > 1 row) running all n_iter steps.
+    # The benchmark's raster: most b > 1 cells and the locked b <= 1 cells
+    # stop within a few dozen steps, so the element-steps fall to 17.6 % of
+    # every stacked row (one per b <= 1 row, two per b > 1 row) running all
+    # n_iter steps.  Stopping only at a second landing on the flat piece
+    # reads 26.4 %.
     count = _counting_step(monkeypatch)
     g = raster(0.0, 1.0, 0.0, 3.0, 48, 48, n_iter=1000, workers=1)
     rows = sum(1 if b <= 1.0 else 2 for b in g.bvec.tolist())
-    assert count[0] < 0.5 * rows * g.na * 1000
+    assert count[0] < 0.22 * rows * g.na * 1000
 
 
 def _assert_snap_grid_matches(values, tol, q_max):
