@@ -183,7 +183,7 @@ class MonotoneLift:
     def _fold(self) -> Optional[Tuple[float, float, float]]:
         """(w, lo, hi): x folds into t in [w, w + 1), flat where lo <= t <= hi; None if no plateau.
 
-        The one fold that eval, rotation._scalar_iterate and the raster read.
+        The one fold; _step_args adds the flat value for every caller of _step.
         """
         if self.plateau_start is None:
             return None
@@ -194,9 +194,16 @@ class MonotoneLift:
     def eval(self, x: ArrayLike) -> ArrayLike:
         """The monotone lift at x (scalar, array or sequence) by one _step; a scalar gives a float."""
         y = np.asarray(x, dtype=float)
-        fold = None if self._fold is None else (*self._fold, self.plateau_value)
-        val = _step(y.reshape(1) if y.ndim == 0 else y, self.base.a, self.base.b / TWO_PI, fold)
+        val = _step(y.reshape(1) if y.ndim == 0 else y, *_step_args(self))
         return float(val[0]) if y.ndim == 0 else val
+
+
+def _step_args(lift: Union[MonotoneLift, Params]) -> Tuple[float, float, Optional[Tuple]]:
+    """_step's (a, c, fold) for a Params lift or a MonotoneLift, the one place a fold gains its flat value."""
+    if isinstance(lift, Params):
+        return lift.a, lift.b / TWO_PI, None
+    fold = lift._fold
+    return lift.base.a, lift.base.b / TWO_PI, None if fold is None else (*fold, lift.plateau_value)
 
 
 @functools.lru_cache(maxsize=1024)

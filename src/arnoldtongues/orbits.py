@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import AmbiguityError, NoOrbitError
 from .maps import TWO_PI, Params, critical_points, deriv, eval_lift
-from .rotation import Q_MAX_DEFAULT, Rational, _closure, _dips, _level_grid
+from .rotation import _N_ITER_MAX, Q_MAX_DEFAULT, Rational, _closure, _dips, _level_grid
 from .solvers import bisect
 
 SUPERATTRACTING = "superattracting"
@@ -124,7 +123,7 @@ def find_periodic_orbits(
     """
     r = Rational(r)
     q, p_num = r.denominator, r.numerator
-    grid, g = _level_grid(partial(eval_lift, p), r, q_max, SCAN_DENSITY)
+    grid, g = _level_grid(p, r, q_max, SCAN_DENSITY)
     n = len(grid)
     closure = _closure(p, r)
     half_cell = 0.5 / n
@@ -258,12 +257,12 @@ def itinerary(p: Params, x: float, length: int) -> Itinerary:
     Each iterate is folded into the window [x_k - 1, x_k) and labelled L
     on the closed increasing lap [x_k - 1, x_c], M on the open decreasing
     lap.  Points within 1e-12 of a lap boundary go to the closed (L)
-    side.  Requires b > 1, where the laps exist.
+    side.  Requires b > 1, where the laps exist, and 1 <= length <= _N_ITER_MAX.
     """
     if p.b <= 1.0:
         raise ValueError("itineraries need b > 1 (no decreasing lap otherwise)")
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length!r}")
+    if not 1 <= length <= _N_ITER_MAX:
+        raise ValueError(f"length must be in [1, {_N_ITER_MAX}], got {length!r}")
     x_c, x_k = critical_points(p).points
     w = x_k - 1.0
     y = float(x)

@@ -6,14 +6,15 @@ possible, certified to equal a nearby rational exactly.  A lift with a
 decreasing lap has a whole interval of rotation numbers, bounded by the
 rotation numbers of its two monotone envelopes.
 
-The level function G = f^q - x - p is evaluated on grids by the array
-kernel _iterate (_level_grid) and at single points by the fused scalar
-kernel _scalar_iterate (_closure), which applies the same operations in
-the same order with math; the rotation estimate runs on the scalar one.
-A long scalar run stops once its float orbit repeats and adds the whole
-periods' winding exactly, so a locked lift costs a few dozen steps, bit for bit.
-The certificate and the orbit scan in orbits share G and its dip search
-(_dips).
+Lifts are iterated by one array kernel, _iterate, and its fused scalar
+twin, _scalar_iterate, which applies the same operations in the same
+order with math.  The level function G = f^q - x - p runs on grids
+through the array one (_level_grid) and at single points through the
+scalar one (_closure); the rotation estimate runs on the scalar one and
+the raster (sweep) on the array one.  Both stop a long run once its float
+orbit repeats and add the whole periods' winding exactly, so a locked
+lift costs a few dozen steps, bit for bit.  The certificate and the orbit
+scan in orbits share G and its dip search (_dips).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Callable, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from .maps import MINUS, PLUS, TWO_PI, ArrayLike, MonotoneLift, Params, envelope, eval_lift
+from .maps import _step, _step_args
 from .solvers import golden_min
 
 # Rational values are plain stdlib fractions throughout the package.
@@ -45,7 +47,7 @@ _N_ITER_MAX = 10**9
 # Integer-valued floats below this add exactly.
 _EXACT = 2.0**53
 
-# _scalar_iterate looks for a repeating float orbit within this many steps.
+# The kernels look for a repeating float orbit within this many steps.
 _CYCLE_STEPS = 2**17
 
 
@@ -81,21 +83,64 @@ class RotationInterval:
         return self.hi.value - self.lo.value
 
 
-def _iterate(f: Callable[[np.ndarray], np.ndarray], x: ArrayLike, n: int) -> np.ndarray:
-    """n-fold application of the lift f (m.eval or a raw lift) to an array x, mod-1 reduced.
+def _iterate(x: np.ndarray, a: ArrayLike, c: ArrayLike, fold: Optional[Tuple], n: int) -> np.ndarray:
+    """n winding-reduced steps _step(y, a, c, fold) from the float array x, cells stopped at their cycle.
 
-    The integer winding is accumulated separately so the trigonometric
-    part is always evaluated on a small argument.  x is iterated as a float
-    array with np.floor; float callers use _scalar_iterate, which applies
-    the same operations in the same order with math.
+    a, c and each column of fold (as maps._step_args binds a lift) are a
+    scalar or an array of x's length.  The integer winding is kept apart, so
+    the sin sees a reduced argument.  _scalar_iterate is the float twin.
+
+    A cell stops once its float orbit repeats (Brent's cycle check): y and
+    the wind are kept at steps 1, 2, 4, ..., marks all cells share, and a
+    later y equal to a cell's kept one gives the period lam and the winding
+    W since the mark, as a step depends on the reduced y alone.  The whole
+    periods left add (rest // lam) * W at once, the rest % lam steps run, and
+    done cells are compacted out with the parameters that are arrays.  A
+    jumped cell is done within lam - 1 steps, before it could hit again (lam
+    steps on, or lam past the next mark).  The winding is a sum of integer-
+    valued floats, exact below 2**53, so every bit is the plain loop's: the
+    check runs only when n > 64 and max|x| + (max|a| + max c + 3) n < 2**53
+    bounds every partial winding, and only over the first _CYCLE_STEPS
+    steps.  Nothing is allocated for it before a first repeat, so short
+    runs, such as the level grid's, pay one bool test per step.
     """
     y = np.array(x, dtype=float)
     wind = np.zeros_like(y)
-    for _ in range(n):
-        y = f(y)
+    if not y.size:
+        return y
+    cells = [a, c, *(() if fold is None else fold)]  # the arrays among them are compacted with y
+    check = n > 64 and np.max(np.abs(y), initial=0.0) + (
+        np.max(np.abs(a), initial=0.0) + np.max(c, initial=0.0) + 3.0
+    ) * n < _EXACT
+    out, stop, nxt = None, n + 1, 1
+    for i in range(1, n + 1):
+        y = _step(y, cells[0], cells[1], cells[2:] or None)
         k = np.floor(y)
         wind += k
         y -= k
+        if check:
+            if i == nxt:
+                mark, nxt, check = i, 2 * i, 2 * i <= _CYCLE_STEPS
+                y_mark, w_mark = y, wind.copy()
+            else:
+                hit = y == y_mark
+                if hit.any():
+                    if out is None:  # each cell's place in out, and the step it is done after
+                        out, live, end = np.empty_like(y), np.arange(len(y)), np.full(len(y), n)
+                    j = np.flatnonzero(hit)
+                    lam = i - mark
+                    wind[j] += (n - i) // lam * (wind[j] - w_mark[j])
+                    end[j] = i + (n - i) % lam
+                    stop = min(stop, int(end[j].min()))
+        if i == stop:
+            done = end == i
+            out[live[done]] = y[done] + wind[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            y, wind, y_mark, w_mark, live, end = (v[keep] for v in (y, wind, y_mark, w_mark, live, end))
+            cells = [v[keep] if np.ndim(v) else v for v in cells]
+            stop = int(end.min())
     return y + wind
 
 
@@ -103,32 +148,28 @@ def _scalar_iterate(lift: Union[MonotoneLift, Params]) -> Callable[[float, int],
     """it(x, n), the n-fold _iterate of the lift at one float x as one fused loop over math.
 
     lift is a MonotoneLift (raw for b <= 1, or an envelope with a plateau)
-    or a raw Params lift.  Its a, b/2pi, fold (MonotoneLift._fold) and
-    plateau value are bound once, and each step applies the operations of
-    maps._step (the array step of eval_lift and m.eval) in order, so it(x, n) is a
-    float equal to the matching element of the array _iterate bit for bit
-    wherever numpy's sin rounds like math.sin.  A non-finite x is a
-    ValueError, never a number.
+    or a raw Params lift.  Its a, c and fold are bound once by
+    maps._step_args, and each step applies the operations of maps._step in
+    order, so it(x, n) is a float equal to the matching element of the
+    array _iterate bit for bit wherever numpy's sin rounds like math.sin.
+    A non-finite x is a ValueError, never a number.
 
-    A run of n > 64 steps stops early once its float orbit repeats (Brent's
-    cycle check): y is kept at steps 1, 2, 4, ..., and a later y equal to
-    the kept one means period lam = i - mark, since a step depends on the
-    reduced y alone.  The whole periods left add their winding as one
-    multiple, and the fewer than lam steps left run plainly.  The winding
-    is a sum of integer-valued floats, exact below 2**53, so the bits stay
-    those of the full loop: the check runs only when |x| + (|a| + b/2pi +
-    3) n < 2**53 bounds every partial winding, and only over the first
-    _CYCLE_STEPS steps, since a locked orbit repeats far sooner and the
-    check costs an orbit that never repeats about 15 % per step.  Short
-    runs, such as the golden-section probes of G, pay one bool test per step.
+    A run of n > 64 steps stops early once its float orbit repeats, by
+    _iterate's rule: y is kept at steps 1, 2, 4, ..., and a later y equal to
+    the kept one means period lam = i - mark.  The whole periods left add
+    their winding as one multiple, and the fewer than lam steps left run
+    plainly.  The check runs only when |x| + (|a| + b/2pi + 3) n < 2**53
+    bounds every partial winding, and only over the first _CYCLE_STEPS
+    steps, since a locked orbit repeats far sooner and the check costs an
+    orbit that never repeats about 15 % per step.  Short runs, such as the
+    golden-section probes of G, pay one bool test per step.
     """
-    raw, fold = (lift, None) if isinstance(lift, Params) else (lift.base, lift._fold)
-    a, c = raw.a, raw.b / TWO_PI
+    a, c, fold = _step_args(lift)
     sin, floor, isfinite = math.sin, math.floor, math.isfinite
     # Bound on |floor(y)| after one step from a reduced y.
     span = abs(a) + c + 3.0
     if fold is not None:
-        (w, lo, hi), value = fold, lift.plateau_value
+        w, lo, hi, value = fold
 
     def it(x: float, n: int) -> float:
         y, wind = float(x), 0.0
@@ -238,19 +279,20 @@ def _dips(
 
 
 def _level_grid(
-    f: Callable[[np.ndarray], np.ndarray], r: Rational, q_max: int, density: int = 8
+    lift: Union[MonotoneLift, Params], r: Rational, q_max: int, density: int = 8
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The grid arange(n)/n, n = max(64, density*q), and G(x) = f^q(x) - x - p of r = p/q on it.
 
-    G runs through the array _iterate.  The default density is level_sign's
-    and level_gap's; the orbit scan passes its own.
+    f is the lift, a MonotoneLift or a raw Params one, and G runs through the
+    array _iterate.  The default density is level_sign's and level_gap's;
+    the orbit scan passes its own.
     """
     q = r.denominator
     if q > q_max:
         raise ValueError(f"denominator {q} exceeds q_max={q_max}")
     n_grid = max(64, density * q)
     grid = np.arange(n_grid, dtype=float) / n_grid
-    return grid, _iterate(f, grid, q) - grid - r.numerator
+    return grid, _iterate(grid, *_step_args(lift), q) - grid - r.numerator
 
 
 def level_sign(m: MonotoneLift, r: Rational, q_max: int = Q_MAX_DEFAULT) -> int:
@@ -268,7 +310,7 @@ def level_sign(m: MonotoneLift, r: Rational, q_max: int = Q_MAX_DEFAULT) -> int:
     so only the dips of s*G (_dips, shared with the orbit scan) are
     sharpened.  Values within the zero band TOLZ count as zero.
     """
-    grid, g = _level_grid(m.eval, r, q_max)
+    grid, g = _level_grid(m, r, q_max)
     # A nan anywhere in g fails both tests, so a nan grid returns 0.
     if float(np.min(g)) > TOLZ:
         s = 1
@@ -297,7 +339,7 @@ def level_gap(m: MonotoneLift, r: Rational, s: int, q_max: int = Q_MAX_DEFAULT) 
     For the envelopes, d(m^q)/da >= 1, so phi rises in a with slope at
     least 1 and the zero of phi, a plateau edge, lies between a and a - phi.
     """
-    grid, g = _level_grid(m.eval, r, q_max)
+    grid, g = _level_grid(m, r, q_max)
     if s == -1:
         g = -g
     low = float(np.min(g))

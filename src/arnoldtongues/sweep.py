@@ -2,10 +2,10 @@
 
 The raster samples rotation-interval endpoints at cell centers, snaps
 them to small-denominator rationals, and can be drawn as a binary PPM or
-dumped as CSV.  Its rows iterate maps._step, the one array lift step, in
-one winding-reduced loop (_cycle_iterate) that stops each cell once its
-float orbit repeats and adds the whole periods left exactly, so its bits
-are those of rotation._iterate.  Cells are pure functions of their
+dumped as CSV.  Its rows of cells run through rotation._iterate, the one
+array kernel, with a per-cell a, b/2pi and fold; it stops each cell once
+its float orbit repeats and adds the whole periods left exactly, so the
+bits are those of the plain loop.  Cells are pure functions of their
 center coordinates, so output is byte-identical whatever the worker count.
 
 Each CSV artifact (raster, curve, region) has one schema, a header and a
@@ -25,8 +25,8 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, 
 
 import numpy as np
 
-from .maps import MINUS, PLUS, TWO_PI, Params, _step, envelope
-from .rotation import _CYCLE_STEPS, _EXACT, Rational, _check_n_iter, rho_exact_rational_test
+from .maps import MINUS, PLUS, TWO_PI, Params, _step_args, envelope
+from .rotation import Rational, _check_n_iter, _iterate, rho_exact_rational_test
 from .tongues import BoundaryCurve, Region
 
 # Defaults for raster cells: iteration count and snapping.
@@ -90,66 +90,11 @@ def _plateau_rows(bvec: np.ndarray) -> np.ndarray:
 
     The lower envelope's row of each b, then the upper envelope's.  A row
     folds y into [w, w + 1) and is flat where lo <= t <= hi, as
-    MonotoneLift._fold decides; its flat value at a is the plateau value
+    maps._step_args binds it; its flat value at a is the plateau value
     plus a, since the lift at a is the lift at 0 plus a.
     """
     ms = [envelope(Params(0.0, b), which) for which in (MINUS, PLUS) for b in bvec.tolist()]
-    return np.array([(*m._fold, m.plateau_value) for m in ms]).reshape(-1, 4).T[:, :, None]
-
-
-def _cycle_iterate(a: np.ndarray, c: np.ndarray, fold: Optional[Tuple], n: int) -> np.ndarray:
-    """The n-fold rotation._iterate of _step(y, a, c, fold) from y = 0, for 1-D arrays of cells.
-
-    A cell stops once its float orbit repeats (Brent's cycle check, as in
-    rotation._scalar_iterate).  Every cell starts at y = 0, so all share one
-    schedule of marks: y and the wind are kept at steps 1, 2, 4, ..., and a
-    later y equal to a cell's kept one gives the period lam (the steps since
-    the mark) and the winding W (the wind since it), since a step depends on
-    the reduced y alone.  The whole periods left add (rest // lam) * W at
-    once, the rest % lam steps left run, and the finished cells are compacted
-    out of the arrays.  A cell that has jumped is done within lam - 1 steps,
-    before it could hit again: lam steps on, or lam steps past the next mark.
-    The winding is a sum of integer-valued floats, exact below 2**53, so every
-    bit is the plain loop's: cells jump only when n > 64 and
-    (|a| + c + 3) n < 2**53 bounds every partial winding, and the check runs
-    only over the first _CYCLE_STEPS steps, as in rotation._scalar_iterate.
-    Otherwise every cell runs all n steps.
-    """
-    y, wind, out = np.zeros((3, len(a)))
-    if not len(a):
-        return out
-    live = np.arange(len(a))  # each remaining cell's index in out
-    end = np.full(len(a), n)  # the step after which each cell is done
-    # Rows: a, c, y and wind at the last mark, and the fold's w, lo, hi and v if any.
-    cells = np.vstack([a, c, np.zeros((2, len(a))), *(fold or ())])
-    check = n > 64 and (np.abs(a).max() + c.max() + 3.0) * n < _EXACT
-    stop, nxt = n, 1
-    for i in range(1, n + 1):
-        y = _step(y, cells[0], cells[1], cells[4:] if fold else None)
-        k = np.floor(y)
-        wind += k
-        y -= k
-        if check:
-            if i == nxt:
-                mark, nxt, check = i, 2 * i, 2 * i <= _CYCLE_STEPS
-                cells[2:4] = y, wind
-            else:
-                hit = y == cells[2]
-                if hit.any():
-                    j = np.flatnonzero(hit)
-                    lam = i - mark
-                    wind[j] += (n - i) // lam * (wind[j] - cells[3, j])
-                    end[j] = i + (n - i) % lam
-                    stop = min(stop, int(end[j].min()))
-        if i == stop:
-            done = end == i
-            out[live[done]] = y[done] + wind[done]
-            keep = ~done
-            if not keep.any():
-                break
-            y, wind, live, end, cells = y[keep], wind[keep], live[keep], end[keep], cells[:, keep]
-            stop = int(end.min())
-    return out
+    return np.array([_step_args(m)[2] for m in ms]).reshape(-1, 4).T[:, :, None]
 
 
 def _raster_block(args: Tuple[np.ndarray, np.ndarray, int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -157,11 +102,11 @@ def _raster_block(args: Tuple[np.ndarray, np.ndarray, int]) -> Tuple[np.ndarray,
 
     The rows with b <= 1 step the lift itself, which both envelopes equal,
     and the b > 1 rows stack a row per envelope, folded as _plateau_rows
-    gives.  Each of the two runs as one array of cells, a row per envelope
-    and a column per a, through _cycle_iterate, each step one maps._step.
-    They run apart because the lift's step costs about half the fold's, and
-    b <= 1 cells that do not lock run every step.  Every cell gets the same
-    bits whatever the block it is in, since _step's mask keeps them.
+    gives.  Each of the two runs as one array of cells from y = 0, a row per
+    envelope and a column per a, through rotation._iterate.  They run apart
+    because the lift's step costs about half the fold's, and b <= 1 cells
+    that do not lock run every step.  Every cell gets the same bits whatever
+    the block it is in, since maps._step's mask keeps them.
     """
     bvec, avec, n_iter = args
     steep = bvec > 1.0
@@ -173,7 +118,8 @@ def _raster_block(args: Tuple[np.ndarray, np.ndarray, int]) -> Tuple[np.ndarray,
         if fold is not None:
             w, lo, hi, value = (np.broadcast_to(col, (len(c), na)).ravel() for col in fold)
             fold = (w, lo, hi, value + a)
-        return _cycle_iterate(a, np.repeat(c, na), fold, n_iter).reshape(len(c), na) / n_iter
+        y = _iterate(np.zeros(len(a)), a, np.repeat(c, na), fold, n_iter)
+        return y.reshape(len(c), na) / n_iter
 
     est = rows(np.concatenate([b, b]) / TWO_PI, _plateau_rows(b))
     rho_minus = np.empty((len(bvec), na))

@@ -3,7 +3,7 @@
 import math
 from fractions import Fraction
 
-from arnoldtongues import Params, eval_lift, trace_curve
+from arnoldtongues import Params, eval_lift, rotation, trace_curve
 
 
 def locate_edge(kind, r, b, tol=1e-8):
@@ -11,6 +11,19 @@ def locate_edge(kind, r, b, tol=1e-8):
     curve = trace_curve(kind, Fraction(r), (b, b), step=1.0, tol=tol)
     assert len(curve.samples) == 1
     return curve.samples[0][1]
+
+
+def counting_step(monkeypatch):
+    """Patch rotation._step to add the size of each array it steps to the returned one-element list."""
+    step = rotation._step
+    count = [0]
+
+    def counting(y, *args):
+        count[0] += y.size
+        return step(y, *args)
+
+    monkeypatch.setattr(rotation, "_step", counting)
+    return count
 
 
 def iterate_reference(lift, x, n):

@@ -2,9 +2,10 @@
 
 Orbit points, plateau edges, a traced curve, a curve crossing and rotation
 interval endpoints are pinned as float.hex strings, so that a rework of
-rotation._iterate, solvers.bisect or tongues._locate_edges cannot move a
-bit unnoticed.  They hold on builds where numpy's sin and cos round like
-the C library's (see maps.eval_lift).
+the array kernel rotation._iterate or its scalar twin
+rotation._scalar_iterate, solvers.bisect or tongues._locate_edges cannot
+move a bit unnoticed.  They hold on builds where numpy's sin and cos round
+like the C library's (see maps.eval_lift).
 """
 
 from fractions import Fraction

@@ -155,6 +155,7 @@ def test_usage_error_exit_codes(capsys, tmp_path):
         ["interval", "--a", "0.2", "--b", "2", "--n-iter", "1000000001"],
         ["interval", "--a", "0.2", "--b", "2", "--brute", "--brute-iters", "1000000001"],
         ["rho", "--a", "0.2", "--b", "2", "--n-iter", "10000000000"],
+        ["orbit", "--a", "0.3", "--b", "2", "--rot", "1/3", "--itinerary", "10000000000"],
         ras + ["--n-iter", "1000000001"],
         ["intersect", "--left", "Bl:0/1", "--right", "Br:0/1", "--b-min", "1", "--b-max", "1e9", "--step", "1"],
         ["trace", "--kind", "Bl", "--rot", "0/1", "--b-min", "1", "--b-max", "1e9", "--step", "1"],

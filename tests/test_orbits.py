@@ -19,6 +19,7 @@ from arnoldtongues import (
     orbit_pair,
     plateau_edges,
 )
+from arnoldtongues import rotation
 from arnoldtongues.orbits import (
     ATTRACTING,
     HYPERBOLIC,
@@ -144,6 +145,15 @@ def test_itinerary_lap_boundary_is_closed():
     x_c = critical_points(p).points[0]
     assert itinerary(p, x_c, 1).symbols == "L"
     assert itinerary(p, 0.5, 1).symbols == "M"
+
+
+def test_itinerary_rejects_lengths_past_the_iteration_cap():
+    # Checked before the first step: a length of 1e12 would otherwise build a string for hours.
+    p = Params(0.3, 2.0)
+    for length in (0, -1, rotation._N_ITER_MAX + 1, 10**12):
+        with pytest.raises(ValueError, match="length must be in"):
+            itinerary(p, 0.1, length)
+    assert len(itinerary(p, 0.1, 3).symbols) == 3
 
 
 def test_itinerary_translation_invariance():

@@ -1,8 +1,8 @@
 """Rotation machinery: estimates, certificates, intervals, brute force."""
 
+import dataclasses
 import math
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from arnoldtongues import (
     PLUS,
     Params,
     envelope,
-    eval_lift,
     level_sign,
     plateau_edges,
     rho_bounds_bruteforce,
@@ -24,9 +23,10 @@ from arnoldtongues import (
     snap_rational,
 )
 from arnoldtongues import rotation
+from arnoldtongues.maps import _step_args
 from arnoldtongues.rotation import TOLZ, _cyclic_minima, _iterate, _scalar_iterate, level_gap
 from arnoldtongues.solvers import golden_min
-from helpers import iterate_reference
+from helpers import counting_step, iterate_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,7 +112,7 @@ def test_level_sign_sharpens_either_raw_sign(monkeypatch):
         left, right = plateau_edges(b, third, which, tol=1e-12)
         for edge, raw in ((left, -1), (right, 1)):
             inside = envelope(Params(edge - raw * 1e-11, b), which)
-            g = _iterate(inside.eval, grid, 3) - grid - 1
+            g = _iterate(grid, *_step_args(inside), 3) - grid - 1
             assert np.all(raw * g > TOLZ)
             calls.clear()
             assert level_sign(inside, third) == 0
@@ -272,10 +272,9 @@ def test_bruteforce_two_sided_below_critical_coupling(rng):
 
 
 def _kernel_lifts(a, b):
-    """(lift, array f) at (a, b): the raw Params lift and both envelopes (raw lifts for b <= 1)."""
+    """The lifts at (a, b): the raw Params lift and both envelopes (raw lifts for b <= 1)."""
     p = Params(a, b)
-    up, down = envelope(p, PLUS), envelope(p, MINUS)
-    return [(p, partial(eval_lift, p)), (up, up.eval), (down, down.eval)]
+    return [p, envelope(p, PLUS), envelope(p, MINUS)]
 
 
 def test_iterate_scalar_path_matches_array_path():
@@ -287,11 +286,11 @@ def test_iterate_scalar_path_matches_array_path():
     ends = [up.plateau_start, up.plateau_end, down.plateau_start, down.plateau_end]
     xs = np.concatenate([np.linspace(-1.5, 2.5, 37), ends, np.add(ends, 1.0)])
     lifts = _kernel_lifts(0.1, 0.8) + _kernel_lifts(0.27, 2.6)
-    for lift, f in lifts:
+    for lift in lifts:
         it = _scalar_iterate(lift)
         for n in (1, 3, 40, 2000):
             before = xs.copy()
-            arr = [float(y).hex() for y in _iterate(f, xs, n)]
+            arr = [float(y).hex() for y in _iterate(xs, *_step_args(lift), n)]
             assert np.array_equal(xs, before)
             for x_type in (float, np.float64):
                 scal = [it(x_type(x), n) for x in xs]
@@ -308,14 +307,14 @@ def test_iterate_scalar_path_matches_array_path():
     shape=st.integers(0, 2),
 )
 def test_scalar_iterate_matches_array_iterate_property(a, b, x, q, shape):
-    lift, f = _kernel_lifts(a, b)[shape]
+    lift = _kernel_lifts(a, b)[shape]
     y = _scalar_iterate(lift)(x, q)
     assert type(y) is float
-    assert y.hex() == float(_iterate(f, np.array([x]), q)[0]).hex()
+    assert y.hex() == float(_iterate(np.array([x]), *_step_args(lift), q)[0]).hex()
 
 
 def test_scalar_iterate_rejects_non_finite_x():
-    for lift, _ in _kernel_lifts(0.1, 0.8) + _kernel_lifts(0.27, 2.6):
+    for lift in _kernel_lifts(0.1, 0.8) + _kernel_lifts(0.27, 2.6):
         it = _scalar_iterate(lift)
         for x in (math.nan, math.inf, -math.inf, np.float64("nan")):
             with pytest.raises(ValueError, match="finite"):
@@ -334,8 +333,70 @@ def test_scalar_iterate_cycle_shortcut_matches_plain_loop_property(a, b, x, n, s
     # Envelopes for b > 1 lock almost everywhere, so their float orbits repeat and the
     # shortcut fires; a up to 1e12 coarsens y to a few bits, so those repeat too, with
     # windings near 2**53; x up to 1e17 must switch the check off.
-    lift, _ = _kernel_lifts(a, b)[shape]
+    lift = _kernel_lifts(a, b)[shape]
     assert _scalar_iterate(lift)(x, n).hex() == iterate_reference(lift, x, n).hex()
+
+
+_START = st.one_of(st.floats(-4.0, 4.0), st.floats(-1e17, 1e17), st.sampled_from([2.0**53 - 64, 1e17]))
+_OFFSET = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e12, 1e12))
+_RAW = st.builds(Params, _OFFSET, st.floats(0.0, 4.0))
+_FOLDED = st.builds(
+    lambda a, b, which: envelope(Params(a, b), which),
+    _OFFSET,
+    st.floats(1.0, 4.0, exclude_min=True),
+    st.sampled_from([PLUS, MINUS]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    xs=st.lists(_START, max_size=4),
+    n=st.one_of(st.integers(1, 5000), st.integers(60, 200)),
+    folded=st.booleans(),
+    per_cell=st.booleans(),
+)
+def test_iterate_matches_plain_loop_property(data, xs, n, folded, per_cell):
+    # The array kernel stops each cell at its float cycle, with a, c and the fold
+    # shared by all cells or given per cell, as the raster gives them.  Any start of
+    # 2**53 - 64 or 1e17 must switch the check off for the whole array; a up to 1e12
+    # gives windings near 2**53 with the check on.
+    lifts = st.lists(_FOLDED if folded else _RAW, min_size=len(xs), max_size=len(xs))
+    if per_cell:
+        cells = data.draw(lifts)
+        a, c = np.array([_step_args(m)[:2] for m in cells]).reshape(-1, 2).T
+        fold = np.array([_step_args(m)[2] for m in cells]).reshape(-1, 4).T if folded else None
+    else:
+        lift = data.draw(_FOLDED if folded else _RAW)
+        cells = [lift] * len(xs)
+        a, c, fold = _step_args(lift)
+    got = _iterate(np.array(xs, dtype=float), a, c, fold, n)
+    assert got.shape == (len(xs),)
+    want = [iterate_reference(m, x, n).hex() for m, x in zip(cells, xs)]
+    assert [y.hex() for y in got.tolist()] == want
+
+
+def test_iterate_empty_array():
+    for lift in _kernel_lifts(0.1, 0.8) + _kernel_lifts(0.27, 2.6):
+        assert _iterate(np.array([]), *_step_args(lift), 1000).shape == (0,)
+    per_cell = np.empty((6, 0))
+    assert _iterate(np.array([]), per_cell[0], per_cell[1], tuple(per_cell[2:]), 1000).shape == (0,)
+
+
+def test_level_grid_cycle_check_at_large_q(monkeypatch):
+    # q = 71 > 64 runs the check on the level grid: locked envelopes and a locked
+    # raw lift stop most grid points early, with every bit of the plain loop.
+    count = counting_step(monkeypatch)
+    r = Fraction(18, 71)
+    for lift in (envelope(Params(0.28, 2.0), PLUS), envelope(Params(0.4, 3.0), MINUS), Params(0.0, 0.95)):
+        count[0] = 0
+        grid, g = rotation._level_grid(lift, r, 128)
+        assert len(grid) == 8 * 71
+        want = [(iterate_reference(lift, x, 71) - x - 18).hex() for x in grid.tolist()]
+        assert [v.hex() for v in g.tolist()] == want, lift
+        assert count[0] < len(grid) * 71 / 2, lift
+    with pytest.raises(ValueError, match="exceeds q_max"):
+        rotation._level_grid(Params(0.1, 0.9), r, 64)
 
 
 def test_scalar_iterate_cycle_shortcut_every_remainder():
@@ -437,12 +498,11 @@ def test_level_gap_agrees_where_the_extremum_meets_the_zero_band(monkeypatch):
 
 
 def test_level_gap_nan_decides_nothing():
-    class NanLift:
-        def eval(self, x):
-            return x * math.nan
-
-    for s in (1, -1):
-        assert math.isnan(level_gap(NanLift(), Fraction(1, 3), s))
+    # A nan plateau value puts nan on the grid wherever an orbit meets the flat piece.
+    for which in (PLUS, MINUS):
+        nan_lift = dataclasses.replace(envelope(Params(0.3, 2.0), which), plateau_value=math.nan)
+        for s in (1, -1):
+            assert math.isnan(level_gap(nan_lift, Fraction(1, 3), s))
 
 
 def _gap_rises(b, r, which, offsets):

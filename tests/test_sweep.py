@@ -26,9 +26,10 @@ from arnoldtongues import (
     snap_rational,
     trace_curve,
 )
-from arnoldtongues import sweep
+from arnoldtongues import rotation, sweep
 from arnoldtongues.rotation import _CYCLE_STEPS
 from arnoldtongues.sweep import _BLOCK_ROWS, _plateau_rows, _snap_grid
+from helpers import counting_step
 
 TWO_PI = 2.0 * math.pi
 ZERO = Fraction(0, 1)
@@ -262,19 +263,6 @@ def _envelopes(b):
     return (MINUS,) if b <= 1.0 else (MINUS, PLUS)
 
 
-def _counting_step(monkeypatch):
-    """Patch sweep._step to add the size of each array it steps to the returned one-element list."""
-    step = sweep._step
-    count = [0]
-
-    def counting(y, *args):
-        count[0] += y.size
-        return step(y, *args)
-
-    monkeypatch.setattr(sweep, "_step", counting)
-    return count
-
-
 def _assert_raster_is_plain_math(g, n_iter):
     for j, b in enumerate(g.bvec.tolist()):
         for i, a in enumerate(g.avec.tolist()):
@@ -288,7 +276,7 @@ def test_raster_cycle_jump_keeps_the_bits(monkeypatch):
     # odd n_iter over a quarter of those remainders are nonzero.  Every cell
     # runs exactly the steps of the plain-math check, so the element-steps
     # are their sum.
-    count = _counting_step(monkeypatch)
+    count = counting_step(monkeypatch)
     for n_iter in (65, 997, 4099):
         count[0] = 0
         g = raster(-0.2, 1.1, 0.4, 2.6, 7, 6, n_iter=n_iter, workers=1)
@@ -329,7 +317,7 @@ _OFF_FLAT_CELLS = ((0.28125, 1.975625), (0.05, 0.8))
 
 def test_raster_stops_cells_that_cycle_off_the_flat_piece(monkeypatch):
     assert sum(flat for _, flat in _orbit(0.28125, 1.975625, MINUS, 1000)) == 1
-    count = _counting_step(monkeypatch)
+    count = counting_step(monkeypatch)
     for a, b in _OFF_FLAT_CELLS:
         count[0] = 0
         g = raster(a, a, b, b, 1, 1, n_iter=1000, workers=1)
@@ -342,8 +330,8 @@ def test_raster_stops_cells_that_cycle_off_the_flat_piece(monkeypatch):
 def test_raster_cycle_check_window(monkeypatch):
     # Past the window no repeat is looked for: with the window at 8 steps,
     # the cells above, whose orbits first repeat later, run every step.
-    monkeypatch.setattr(sweep, "_CYCLE_STEPS", 8)
-    count = _counting_step(monkeypatch)
+    monkeypatch.setattr(rotation, "_CYCLE_STEPS", 8)
+    count = counting_step(monkeypatch)
     for a, b in _OFF_FLAT_CELLS:
         assert all(_first_repeat(_orbit(a, b, which, 1000), 8) is None for which in _envelopes(b))
         count[0] = 0
@@ -364,7 +352,7 @@ def test_raster_lift_rows_at_reduced_one():
 def test_raster_without_the_jump_guard_runs_every_step(monkeypatch):
     # (|a| + b/2pi + 3) n_iter >= 2**53: a winding could leave the exact
     # integers, so no cell jumps and every stacked row runs all n_iter steps.
-    count = _counting_step(monkeypatch)
+    count = counting_step(monkeypatch)
     n_iter = 65
     g = raster(1.5e14, 1.5e14, 0.5, 2.5, 1, 3, n_iter=n_iter, workers=1)
     assert (1.5e14 + 3.0) * n_iter >= 2.0**53
@@ -379,7 +367,7 @@ def test_raster_stops_cells_at_their_cycle(monkeypatch):
     # every stacked row (one per b <= 1 row, two per b > 1 row) running all
     # n_iter steps.  Stopping only at a second landing on the flat piece
     # reads 26.4 %.
-    count = _counting_step(monkeypatch)
+    count = counting_step(monkeypatch)
     g = raster(0.0, 1.0, 0.0, 3.0, 48, 48, n_iter=1000, workers=1)
     rows = sum(1 if b <= 1.0 else 2 for b in g.bvec.tolist())
     assert count[0] < 0.22 * rows * g.na * 1000
