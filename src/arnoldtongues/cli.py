@@ -244,13 +244,14 @@ def _cmd_trace(args) -> Dict:
         tol=args.tol,
         q_max=args.q_max,
     )
-    report = lipschitz_check(curve)
+    # One sample (equal b ends) has no slope to audit.
+    report = lipschitz_check(curve) if len(curve.samples) > 1 else None
     out: Dict = {
         "kind": curve.kind,
         "label": _frac_str(curve.label),
         "n_samples": len(curve.samples),
-        "max_slope": report.max_slope,
-        "lipschitz_ok": report.ok,
+        "max_slope": None if report is None else report.max_slope,
+        "lipschitz_ok": None if report is None else report.ok,
     }
     if args.csv:
         export_csv(curve, args.csv)

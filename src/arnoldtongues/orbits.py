@@ -96,6 +96,44 @@ def _closure_deriv(p: Params, q: int, x: float) -> float:
     return prod - 1.0
 
 
+def _saddle_node(b: float, r: Rational, x: float, a: float) -> Optional[Tuple[float, float]]:
+    """(x, a) where G = F^q(x) - x - p and G_x vanish for the raw lift F_{a,b}, by Newton from (x, a).
+
+    A root is a parabolic (saddle-node) orbit of r = p/q, the A-curve
+    condition.  G_a, G_xx and G_xa come from the chain rule along the same
+    q steps as G and G_x, with math bound once.  Returns the point after the
+    first step with |dx| <= 1e-10 and |da| <= 1e-12, x reduced mod 1, or None
+    when 20 steps do not get there or a step is singular or not finite.
+    """
+    c, q, p_num = b / TWO_PI, r.denominator, r.numerator
+    sin, cos, floor, isfinite = math.sin, math.cos, math.floor, math.isfinite
+    for _ in range(20):
+        # Along the steps gx, ga, gxx and gxa are y's derivatives in x, a, x twice and x and a.
+        y, wind, gx, ga, gxx, gxa = x, 0.0, 1.0, 0.0, 0.0, 0.0
+        for _ in range(q):
+            t = TWO_PI * y
+            s = sin(t)
+            d1, d2 = 1.0 + b * cos(t), -TWO_PI * b * s
+            gxx, gxa = d2 * gx * gx + d1 * gxx, d2 * gx * ga + d1 * gxa
+            gx, ga = d1 * gx, d1 * ga + 1.0
+            y = y + a + c * s
+            k = floor(y)
+            wind += k
+            y -= k
+        g, gx = y + wind - x - p_num, gx - 1.0
+        det = gx * gxa - ga * gxx
+        if not (det and isfinite(det)):
+            return None
+        dx, da = (ga * gx - gxa * g) / det, (gxx * g - gx * gx) / det
+        x, a = x + dx, a + da
+        if not (isfinite(x) and isfinite(a)):
+            return None
+        x -= floor(x)
+        if abs(dx) <= 1e-10 and abs(da) <= 1e-12:
+            return x, a
+    return None
+
+
 def _newton_polish(closure, p, q, x):
     """Two Newton steps on the closure function, skipped near parabolics.
 

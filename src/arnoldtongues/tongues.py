@@ -28,9 +28,13 @@ the certificate's decision, and then the sign gap (+-inf by level_sign),
 which is plain level_sign bisection.  For b > 1 the B side of a plateau
 (Bl, Br) first tries the plateau return h = G(e), q scalar steps from the
 end e of the flat piece through which the plateau's orbit leaves: on a
-B-curve the critical value lands on that orbit.  While
-level_sign is monotone in a, the edges are bit for bit those of plain
-bisection, whichever pass decides.
+B-curve the critical value lands on that orbit.  On an A-type edge (Al,
+Ar, and every edge for b <= 1) trace_curve carries the previous sample's
+saddle-node root (x*, a*), where G and G_x vanish for the raw lift: on an
+A-curve the distinguished orbit is parabolic.  Newton from it
+(orbits._saddle_node) at the next b gives a candidate a*, and the gap
+a - a* runs ahead of the cascade.  While level_sign is monotone in a, the
+edges are bit for bit those of plain bisection, whichever pass decides.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from .errors import (
     NoOrbitError,
 )
 from .maps import MINUS, PLUS, TWO_PI, MonotoneLift, Params, critical_points, envelope, eval_lift
-from .orbits import PeriodicOrbit, orbit_pair
-from .rotation import Q_MAX_DEFAULT, Rational, _closure, level_gap, level_sign
+from .orbits import PeriodicOrbit, _saddle_node, orbit_pair
+from .rotation import Q_MAX_DEFAULT, Rational, _closure, _cyclic_minima, _level_grid, level_gap, level_sign
 from .solvers import bisect
 
 KIND_AL = "Al"
@@ -175,6 +179,12 @@ def _b_samples(
     return (b_lo + i * step for i in range(int(math.floor(n)) + 1))
 
 
+def _check_tol(tol: float) -> None:
+    """ValueError unless the edge tolerance tol is > 0 and finite."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be > 0 and finite, got {tol!r}")
+
+
 def _secant(p0: Tuple[float, float], p1: Tuple[float, float]) -> float:
     """Zero of the line through the points (a, phi) p0 and p1, nan if it is flat."""
     (a0, f0), (a1, f1) = p0, p1
@@ -243,6 +253,7 @@ def _locate_edges(
     a_window: Tuple[float, float],
     tol: float,
     q_max: int,
+    candidate: Optional[float] = None,
 ) -> List[Tuple[float, float]]:
     """Bisect the named edges ("left", "right") of one plateau of r at this b.
 
@@ -255,6 +266,9 @@ def _locate_edges(
     final bracket whose ends s certifies, s(lo) <= c < s(hi), which also
     proves the window held the edge; else BadWindowError, whose message
     alone probes the window ends.  The cascade:
+      - a - candidate, only when a candidate edge is given (trace_curve's
+        saddle-node root on an A-type edge).  A wrong candidate only costs
+        the pass: the certificate rejects it;
       - h, the plateau return G(e) = M^(q-1)(v) - e - p, only on the B side
         for b > 1: the plus plateau's right edge (e = plateau_end) and the
         minus plateau's left edge (e = plateau_start).  Where the edge is a
@@ -279,6 +293,9 @@ def _locate_edges(
         m = lift(a)
         return _closure(m, r)(m.plateau_end if which == PLUS else m.plateau_start)
 
+    def saddle_node(a: float) -> float:
+        return a - candidate
+
     b_cut = 0 if which == PLUS else -1  # the B side: Bl, the plus right edge; Br, the minus left
     edges = []
     for c in (-1 if side == "left" else 0 for side in sides):
@@ -292,6 +309,8 @@ def _locate_edges(
             return phi if phi == phi else sign_gap(a)
 
         gaps = (plateau_return, gap, sign_gap) if c == b_cut and b > 1.0 else (gap, sign_gap)
+        if candidate is not None:
+            gaps = (saddle_node, *gaps)
         for decide in gaps:
             lo, hi = _gap_bisect(decide, a_window, tol)
             # A failed pass fails at hi on the plus side (h's zero is at or left of Bl) and at lo
@@ -327,8 +346,7 @@ def plateau_edges(
     least a cell apart.  Crossed edges, impossible while the level sign is
     monotone in a, fold to their midpoint within tol, else EmptyPlateauError.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    _check_tol(tol)
     r = Rational(r)
     Params(float(r), b)  # b >= 0 and finite, before any window is built or judged
     if a_window is None:
@@ -353,6 +371,21 @@ def plateau_edges(
     return (a_left, a_right)
 
 
+def _saddle_at_edge(
+    b: float, r: Rational, which: str, side: str, a: float, q_max: int
+) -> Optional[Tuple[float, float]]:
+    """The saddle-node root (x*, a*) whose a* is nearest the located edge a, or None.
+
+    _saddle_node starts from (x, a) at each cyclic grid-local minimum x of
+    s*G on level_sign's grid of the which-envelope at a: s = -1 for a left
+    edge, which the maximum of G decides, and s = 1 for a right one.
+    """
+    grid, g = _level_grid(envelope(Params(a, b), which), r, q_max)
+    s = -1 if side == "left" else 1
+    roots = (_saddle_node(b, r, x, a) for x in grid[_cyclic_minima(s * g)].tolist())
+    return min((root for root in roots if root is not None), key=lambda root: abs(root[1] - a), default=None)
+
+
 def trace_curve(
     kind: str,
     r: Rational,
@@ -367,29 +400,47 @@ def trace_curve(
     only the Lipschitz cone around its predecessor, inflated by 25% plus
     an absolute guard of 10 tol.  Losing the bracket raises
     ContinuationLostError carrying the offending b.
+
+    On an A-type edge (Al or Ar, or any kind at b <= 1) the saddle-node
+    root (x*, a*) of the previous sample is a Newton warm start
+    (_saddle_node) at the next b, and a converged a* inside the cone is the
+    candidate of _locate_edges' first pass.  After each sample the root is
+    kept when the located edge's final bracket holds its a* (its pass
+    certified), else restarted from the dips at that edge (_saddle_at_edge).
+    The state lives in this call alone, and since the certificate decides,
+    the samples are those without it, bit for bit.
     """
     if kind not in KIND_TO_EDGE:
         raise ValueError(f"unknown curve kind {kind!r}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    _check_tol(tol)
     r = Rational(r)
     which, side = KIND_TO_EDGE[kind]
     hw = 1.25 * step / TWO_PI + 10.0 * tol
     samples: List[Tuple[float, float, float]] = []
     prev_a: Optional[float] = None
+    root: Optional[Tuple[float, float]] = None  # the previous sample's saddle-node (x*, a*)
     for b in _b_samples(b_range, step):
         if prev_a is None:
             window = default_window(b, r)
         else:
             window = (prev_a - hw, prev_a + hw)
+        saddle = kind in (KIND_AL, KIND_AR) or b <= 1.0
+        if saddle and root is not None:
+            root = _saddle_node(b, r, *root)
+            if root is not None and not window[0] <= root[1] <= window[1]:
+                root = None
         try:
-            ((a, width),) = _locate_edges(b, r, which, (side,), window, tol, q_max)
+            ((a, width),) = _locate_edges(
+                b, r, which, (side,), window, tol, q_max, None if root is None else root[1]
+            )
         except BadWindowError as exc:
             raise ContinuationLostError(
                 f"continuation of {kind} for {r} lost its bracket at "
                 f"b={b!r}: {exc}",
                 b=b,
             ) from exc
+        if saddle and (root is None or not abs(a - root[1]) <= 0.5 * width):
+            root = _saddle_at_edge(b, r, which, side, a, q_max)
         samples.append((b, a, width))
         prev_a = a
     return BoundaryCurve(kind=kind, label=r, samples=tuple(samples), tol=tol, step=step)
@@ -510,8 +561,7 @@ def intersect_curves(
         raise ValueError(
             f"curve labels out of order: right {right_label} < left {left_label}"
         )
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    _check_tol(tol)
     bs = list(_b_samples(b_window, step, "b_window"))
     if bs[-1] < b_window[1] - 1e-12:
         bs.append(b_window[1])

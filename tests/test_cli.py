@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from arnoldtongues import load_curve_csv
 from arnoldtongues.cli import _build_parser, main
 
 SUBCOMMANDS = {
@@ -321,6 +322,31 @@ def test_trace_csv_then_audit(capsys, tmp_path):
     assert audit["label"] == "0/1"
     assert audit["n_samples"] == 5
     assert audit["ok"] is True
+
+
+def test_one_sample_trace_writes_its_csv(capsys, tmp_path):
+    # Equal ends give one sample: no slope to audit, but the CSV and the sample.
+    path = str(tmp_path / "one.csv")
+    argv = ["trace", "--kind", "Al", "--rot", "1/3", "--b-min", "2", "--b-max", "2", "--step", "0.1"]
+    out = run_json(capsys, argv + ["--csv", path, "--full"])
+    assert out["n_samples"] == 1
+    assert out["max_slope"] is None and out["lipschitz_ok"] is None
+    assert [s["b"] for s in out["samples"]] == [2.0]
+    assert load_curve_csv(path).samples == tuple((s["b"], s["a"], s["residual"]) for s in out["samples"])
+    assert main(argv) == 0
+    assert "lipschitz_ok = None" in capsys.readouterr().out
+
+
+def test_infinite_tol_is_a_usage_error(capsys):
+    b_range = ["--b-min", "2", "--b-max", "2.1"]
+    for argv in (
+        ["edges", "--b", "2", "--rot", "1/3"],
+        ["trace", "--kind", "Al", "--rot", "1/3", "--step", "0.1"] + b_range,
+        ["region", "--lo", "0/1", "--hi", "1/3", "--step", "0.1"] + b_range,
+        ["intersect", "--left", "Bl:0/1", "--right", "Br:0/1"] + b_range,
+    ):
+        assert main(argv + ["--tol", "inf"]) == 2, argv
+        assert "tol must be > 0 and finite, got inf" in capsys.readouterr().err, argv
 
 
 def test_trace_inline_samples(capsys):

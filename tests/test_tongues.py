@@ -24,7 +24,8 @@ from arnoldtongues import (
     trace_curve,
 )
 from arnoldtongues import envelope, level_sign, tongues
-from arnoldtongues.rotation import level_gap
+from arnoldtongues.orbits import _closure_deriv
+from arnoldtongues.rotation import _closure, level_gap
 from arnoldtongues.tongues import _locate_edges, default_window
 
 from helpers import locate_edge
@@ -597,3 +598,143 @@ def test_b_edge_below_the_b_switch_falls_back_to_the_level_gap(monkeypatch):
     # is a smooth tangency, the zero of h is not the edge, and the end
     # certificate rejects the h pass.
     assert _edge_passes(monkeypatch, [(1.1, ZERO, "Bl")]) == [("plateau_return", "gap")]
+
+
+def test_edge_scans_reject_a_tol_that_is_not_positive_and_finite():
+    # An infinite tol once gave the window midpoint as both edges, pinched
+    # region slices and a nan cone window in the trace.
+    for tol in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be > 0 and finite"):
+            plateau_edges(2.0, Fraction(1, 3), PLUS, tol=tol)
+        with pytest.raises(ValueError, match="tol must be > 0 and finite"):
+            trace_curve("Al", Fraction(1, 3), (2.0, 2.1), step=0.1, tol=tol)
+        with pytest.raises(ValueError, match="tol must be > 0 and finite"):
+            region_boundary((ZERO, Fraction(1, 3)), (2.0, 2.1), step=0.1, tol=tol)
+        with pytest.raises(ValueError, match="tol must be > 0 and finite"):
+            intersect_curves(("Bl", ZERO), ("Br", ZERO), (2.0, 2.1), tol=tol)
+
+
+# The A-type traces of the saddle pass: seven labels over three b ranges,
+# Al and Ar throughout and Bl and Br at b <= 1, where both edges are
+# saddle-nodes.  The 2/5 edges at b >= 3 are where the pass misses.
+SADDLE_LABELS = [Fraction(p, q) for p, q in ((0, 1), (1, 4), (1, 3), (2, 5), (1, 2), (2, 3), (1, 1))]
+SADDLE_RANGES = [((0.1, 1.0), 0.05), ((1.02, 3.0), 0.04), ((3.0, 6.0), 0.1)]
+SADDLE_TRACES = [
+    (kind, r, b_range, step)
+    for kind in ("Al", "Ar", "Bl", "Br")
+    for r in SADDLE_LABELS
+    for b_range, step in SADDLE_RANGES
+    if kind in ("Al", "Ar") or b_range[1] <= 1.0
+]
+
+
+def _recording_edge_searches(monkeypatch):
+    """Patch _locate_edges to append (b, candidate, edges, gap names run) per call to the returned list."""
+    passes = _recording_gap_bisect(monkeypatch)
+    locate = tongues._locate_edges
+    searches = []
+
+    def recording(b, r, which, sides, window, tol, q_max, candidate=None):
+        passes.clear()
+        edges = locate(b, r, which, sides, window, tol, q_max, candidate)
+        searches.append((b, candidate, edges, tuple(passes)))
+        return edges
+
+    monkeypatch.setattr(tongues, "_locate_edges", recording)
+    return searches
+
+
+def test_saddle_pass_traces_equal_the_traces_without_it(monkeypatch):
+    # The Newton root only seeds the first pass, whose end certificate
+    # decides, so every sample is that of the trace without the warm start.
+    searches = _recording_edge_searches(monkeypatch)
+    warm = []
+    for kind, r, b_range, step in SADDLE_TRACES:
+        searches.clear()
+        curve = trace_curve(kind, r, b_range, step)
+        warm += [(kind, r, b, passes) for b, candidate, _, passes in searches if candidate is not None]
+        with monkeypatch.context() as cold:
+            cold.setattr(tongues, "_saddle_node", lambda *args: None)
+            assert trace_curve(kind, r, b_range, step) == curve, (kind, r, b_range)
+        assert all(c is None for _, c, _, _ in searches[-len(curve.samples):])
+    missed = [(kind, r, b) for kind, r, b, passes in warm if passes[-1] != "saddle_node"]
+    assert all(passes[0] == "saddle_node" for *_, passes in warm)
+    assert len(missed) <= 0.05 * len(warm), missed
+    assert {(r, b >= 3.0) for _, r, b in missed} <= {(Fraction(2, 5), True)}, missed
+
+
+def test_a_wrong_saddle_candidate_is_rejected_by_the_end_certificate(monkeypatch):
+    # A candidate 1e-6 off the edge brackets a cell that misses it; the end
+    # certificate rejects the pass, the level gap decides, and the edge is
+    # that of plain bisection.  The root itself decides alone.
+    passes = _recording_gap_bisect(monkeypatch)
+    for b, r, kind in ((2.0, Fraction(1, 3), "Al"), (2.0, HALF, "Ar"), (0.5, Fraction(1, 4), "Bl"), (1.5, ZERO, "Ar")):
+        which, side = tongues.KIND_TO_EDGE[kind]
+        window = default_window(b, r)
+        plain = _plain_sign_bisection(b, r, which, (side,), window, 1e-8)
+        root = tongues._saddle_at_edge(b, r, which, side, plain[0][0], 64)
+        assert root is not None, (b, r, kind)
+        for shift, ran in ((0.0, ("saddle_node",)), (1e-6, ("saddle_node", "gap")), (-1e-6, ("saddle_node", "gap"))):
+            passes.clear()
+            got = _locate_edges(b, r, which, (side,), window, 1e-8, 64, root[1] + shift)
+            assert got == plain, (b, r, kind, shift)
+            assert tuple(passes) == ran, (b, r, kind, shift)
+
+
+def test_certified_saddle_roots_are_parabolic_orbits(monkeypatch):
+    # Orbit-side oracle: where the saddle pass decided, its (x*, a*) closes
+    # an orbit of the raw lift with multiplier 1, and level_sign puts
+    # a* -+ 1e-9 on the edge's two sides.  The orbit scan must find that
+    # orbit parabolic too, within 1e-6.  It locates a double root as the
+    # golden-section minimum of |G|, only to about sqrt(1e-16 / G_xx), so its
+    # multiplier is checked for q <= 4; for Ar 2/5 near b = 1.8 it reads up
+    # to 1.2e-6 off at a root whose own (F^q)' - 1 is below 1e-9.
+    roots = {}
+    newton = tongues._saddle_node
+
+    def recording(b, r, x, a):
+        root = newton(b, r, x, a)
+        if root is not None:
+            roots[(b, root[1])] = root[0]
+        return root
+
+    monkeypatch.setattr(tongues, "_saddle_node", recording)
+    searches = _recording_edge_searches(monkeypatch)
+    checked = 0
+    for kind, r, b_range, step in (
+        ("Al", Fraction(1, 3), (0.5, 2.5), 0.1),
+        ("Ar", HALF, (0.5, 2.5), 0.1),
+        ("Al", ZERO, (1.0, 3.0), 0.2),
+        ("Ar", Fraction(2, 5), (0.2, 2.0), 0.1),
+        ("Bl", Fraction(1, 4), (0.2, 1.0), 0.1),
+        ("Br", ONE, (0.2, 1.0), 0.1),
+    ):
+        which, side = tongues.KIND_TO_EDGE[kind]
+        cut = -1 if side == "left" else 0
+        searches.clear()
+        trace_curve(kind, r, b_range, step)
+        for b, a_star, _, passes in searches:
+            if passes[-1:] != ("saddle_node",):
+                continue
+            x_star = roots[(b, a_star)]
+            p = Params(a_star, b)
+            assert abs(_closure(p, r)(x_star)) < 1e-9, (kind, r, b)
+            assert abs(_closure_deriv(p, r.denominator, x_star)) < 1e-9, (kind, r, b)
+            below, above = (level_sign(envelope(Params(a_star + d, b), which), r) for d in (-1e-9, 1e-9))
+            assert below <= cut < above, (kind, r, b)
+            if r.denominator <= 4:
+                assert boundary_condition_residuals(p, r).saddle_node < 1e-6, (kind, r, b)
+            checked += 1
+    assert checked > 50
+
+
+def test_a_failed_trace_leaves_no_warm_start_behind(monkeypatch):
+    # The saddle-node root lives in one trace_curve call: a trace that loses
+    # its bracket does not change the samples of the next one.
+    fresh = trace_curve("Al", Fraction(1, 3), (1.0, 1.6), step=0.1)
+    sign = tongues.level_sign
+    with monkeypatch.context() as lost:
+        lost.setattr(tongues, "level_sign", lambda m, r, q_max=64: -1 if m.base.b >= 1.2 else sign(m, r, q_max=q_max))
+        with pytest.raises(ContinuationLostError):
+            trace_curve("Al", Fraction(1, 3), (1.0, 1.6), step=0.1)
+    assert trace_curve("Al", Fraction(1, 3), (1.0, 1.6), step=0.1) == fresh
