@@ -96,31 +96,41 @@ def _closure_deriv(p: Params, q: int, x: float) -> float:
     return prod - 1.0
 
 
+def _closure_jet(b: float, a: float, r: Rational, x: float) -> Tuple[float, float, float, float, float]:
+    """G, G_x, G_a, G_xx and G_xa at x for G = F^q(x) - x - p of r = p/q and the raw lift F_{a,b}.
+
+    The derivatives come from the chain rule along the same q steps as G,
+    each step eval_lift's and deriv's float expressions, with math bound once.
+    """
+    c, q, p_num = b / TWO_PI, r.denominator, r.numerator
+    sin, cos, floor = math.sin, math.cos, math.floor
+    # Along the steps gx, ga, gxx and gxa are y's derivatives in x, a, x twice and x and a.
+    y, wind, gx, ga, gxx, gxa = x, 0.0, 1.0, 0.0, 0.0, 0.0
+    for _ in range(q):
+        t = TWO_PI * y
+        s = sin(t)
+        d1, d2 = 1.0 + b * cos(t), -TWO_PI * b * s
+        gxx, gxa = d2 * gx * gx + d1 * gxx, d2 * gx * ga + d1 * gxa
+        gx, ga = d1 * gx, d1 * ga + 1.0
+        y = y + a + c * s
+        k = floor(y)
+        wind += k
+        y -= k
+    return y + wind - x - p_num, gx - 1.0, ga, gxx, gxa
+
+
 def _saddle_node(b: float, r: Rational, x: float, a: float) -> Optional[Tuple[float, float]]:
     """(x, a) where G = F^q(x) - x - p and G_x vanish for the raw lift F_{a,b}, by Newton from (x, a).
 
     A root is a parabolic (saddle-node) orbit of r = p/q, the A-curve
-    condition.  G_a, G_xx and G_xa come from the chain rule along the same
-    q steps as G and G_x, with math bound once.  Returns the point after the
-    first step with |dx| <= 1e-10 and |da| <= 1e-12, x reduced mod 1, or None
-    when 20 steps do not get there or a step is singular or not finite.
+    condition.  G_a, G_xx and G_xa come from _closure_jet.  Returns the
+    point after the first step with |dx| <= 1e-10 and |da| <= 1e-12, x
+    reduced mod 1, or None when 20 steps do not get there or a step is
+    singular or not finite.
     """
-    c, q, p_num = b / TWO_PI, r.denominator, r.numerator
-    sin, cos, floor, isfinite = math.sin, math.cos, math.floor, math.isfinite
+    floor, isfinite = math.floor, math.isfinite
     for _ in range(20):
-        # Along the steps gx, ga, gxx and gxa are y's derivatives in x, a, x twice and x and a.
-        y, wind, gx, ga, gxx, gxa = x, 0.0, 1.0, 0.0, 0.0, 0.0
-        for _ in range(q):
-            t = TWO_PI * y
-            s = sin(t)
-            d1, d2 = 1.0 + b * cos(t), -TWO_PI * b * s
-            gxx, gxa = d2 * gx * gx + d1 * gxx, d2 * gx * ga + d1 * gxa
-            gx, ga = d1 * gx, d1 * ga + 1.0
-            y = y + a + c * s
-            k = floor(y)
-            wind += k
-            y -= k
-        g, gx = y + wind - x - p_num, gx - 1.0
+        g, gx, ga, gxx, gxa = _closure_jet(b, a, r, x)
         det = gx * gxa - ga * gxx
         if not (det and isfinite(det)):
             return None
@@ -132,6 +142,26 @@ def _saddle_node(b: float, r: Rational, x: float, a: float) -> Optional[Tuple[fl
         if abs(dx) <= 1e-10 and abs(da) <= 1e-12:
             return x, a
     return None
+
+
+def _double_root(p: Params, r: Rational, x: float) -> float:
+    """x moved to the zero of G_x next to it by Newton at fixed a, G_xx from _closure_jet.
+
+    A double root of G is a zero of G_x.  The golden-section minimum of |G|
+    places it only to about sqrt(1e-16 / G_xx), where |G| is flat to float
+    noise, and the multiplier is read there.  Returns x unchanged when a
+    step is singular or not finite, and stops after 8 steps or one below
+    1e-15.
+    """
+    for _ in range(8):
+        _, gx, _, gxx, _ = _closure_jet(p.b, p.a, r, x)
+        dx = gx / gxx if gxx else math.nan
+        if not math.isfinite(dx):
+            return x
+        x -= dx
+        if abs(dx) <= 1e-15:
+            break
+    return x
 
 
 def _newton_polish(closure, p, q, x):
@@ -182,6 +212,11 @@ def find_periodic_orbits(
     keep = ~(sign_change | np.roll(sign_change, 1)) & (absg <= 1e-4)
     for x, val in _dips(lambda t: abs(closure(t)), grid, absg, keep, xtol=1e-12):
         if val < CLOSURE_TOL:
+            # Newton on G_x; kept only if it stays within the dip's cell and closes as well.
+            xn = _double_root(p, r, x)
+            vn = abs(closure(xn))
+            if abs(xn - x) <= 1.0 / n and vn < CLOSURE_TOL:
+                x, val = xn, vn
             roots.append((x % 1.0, val))
 
     if not roots:

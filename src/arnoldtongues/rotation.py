@@ -7,14 +7,17 @@ decreasing lap has a whole interval of rotation numbers, bounded by the
 rotation numbers of its two monotone envelopes.
 
 Lifts are iterated by one array kernel, _iterate, and its fused scalar
-twin, _scalar_iterate, which applies the same operations in the same
-order with math.  The level function G = f^q - x - p runs on grids
-through the array one (_level_grid) and at single points through the
-scalar one (_closure); the rotation estimate runs on the scalar one and
-the raster (sweep) on the array one.  Both stop a long run once its float
-orbit repeats and add the whole periods' winding exactly, so a locked
-lift costs a few dozen steps, bit for bit.  The certificate and the orbit
-scan in orbits share G and its dip search (_dips).
+twin, _scalar_kernel (bound to a lift by _scalar_iterate), which applies
+the same operations in the same order with math.  The level function
+G = f^q - x - p runs on grids through the array one (_level_grid) and at
+single points through the scalar one (_closure); the rotation estimate
+runs on the scalar one and the raster (sweep) on the array one.  Both stop
+a long run once its float orbit repeats and add the whole periods'
+winding exactly, so a locked lift costs a few dozen steps, bit for bit.
+The array kernel hands its last few live cells to the scalar one, which
+keeps the bits as long as math.sin rounds like numpy's sin.  The
+certificate and the orbit scan in orbits share G and its dip search
+(_dips).
 """
 
 from __future__ import annotations
@@ -49,6 +52,15 @@ _EXACT = 2.0**53
 
 # The kernels look for a repeating float orbit within this many steps.
 _CYCLE_STEPS = 2**17
+
+# _iterate hands its live cells to _scalar_kernel once no more than this many
+# are left.  An array step costs about 17 us at 40 cells, mostly the dispatch
+# of some 19 ufuncs, and a fused scalar step about 0.3 us per cell.  On the
+# b > 1 arrays of 100 benchmark-shaped 48x48 rasters (numpy 2.4.6, 2-vCPU
+# x86-64 VM) the array took, per call against no tail, 0.59 of the time at
+# 16 cells, 0.55 at 32, 0.55 at 48, 0.54 at 64, 0.56 at 96 and 0.59 at 128;
+# against 32 cells, 48 took 0.98, 64 0.98 and 80 1.00 (medians of 120).
+_TAIL_CELLS = 48
 
 
 @dataclass(frozen=True)
@@ -103,6 +115,15 @@ def _iterate(x: np.ndarray, a: ArrayLike, c: ArrayLike, fold: Optional[Tuple], n
     bounds every partial winding, and only over the first _CYCLE_STEPS
     steps.  Nothing is allocated for it before a first repeat, so short
     runs, such as the level grid's, pay one bool test per step.
+
+    Once a compaction leaves at most _TAIL_CELLS cells, an array step costs
+    more than their scalar steps, so each finishes in _scalar_kernel bound
+    to its own a, c and fold: from its reduced y and wind, its last end - i
+    steps if it has jumped, else the n - i left, with the scalar kernel's
+    own marks.  Any schedule of marks adds exact integer windings, so the
+    bits stay the plain loop's wherever numpy's sin rounds like math.sin,
+    the assumption the scalar twin already rests on.  A level grid of
+    n <= 64 steps never compacts, so it never reaches this tail.
     """
     y = np.array(x, dtype=float)
     wind = np.zeros_like(y)
@@ -140,43 +161,59 @@ def _iterate(x: np.ndarray, a: ArrayLike, c: ArrayLike, fold: Optional[Tuple], n
                 return out
             y, wind, y_mark, w_mark, live, end = (v[keep] for v in (y, wind, y_mark, w_mark, live, end))
             cells = [v[keep] if np.ndim(v) else v for v in cells]
+            if len(y) <= _TAIL_CELLS:  # each cell runs its last end - i steps in the scalar kernel
+                cols = [v.tolist() if np.ndim(v) else [float(v)] * len(y) for v in cells]
+                for k, y_k, w_k, e_k, (a_k, c_k, *fold_k) in zip(
+                    live.tolist(), y.tolist(), wind.tolist(), end.tolist(), zip(*cols)
+                ):
+                    out[k] = _scalar_kernel(a_k, c_k, fold_k or None)(y_k, e_k - i, w_k)
+                return out
             stop = int(end.min())
     return y + wind
 
 
-def _scalar_iterate(lift: Union[MonotoneLift, Params]) -> Callable[[float, int], float]:
-    """it(x, n), the n-fold _iterate of the lift at one float x as one fused loop over math.
+def _scalar_iterate(lift: Union[MonotoneLift, Params]) -> Callable[..., float]:
+    """it(x, n), the n-fold _iterate of the lift at one float x: _scalar_kernel of its maps._step_args.
 
     lift is a MonotoneLift (raw for b <= 1, or an envelope with a plateau)
-    or a raw Params lift.  Its a, c and fold are bound once by
-    maps._step_args, and each step applies the operations of maps._step in
-    order, so it(x, n) is a float equal to the matching element of the
-    array _iterate bit for bit wherever numpy's sin rounds like math.sin.
-    A non-finite x is a ValueError, never a number.
+    or a raw Params lift.
+    """
+    return _scalar_kernel(*_step_args(lift))
+
+
+def _scalar_kernel(a: float, c: float, fold: Optional[Tuple]) -> Callable[..., float]:
+    """it(x, n, wind=0.0), n winding-reduced steps _step(y, a, c, fold) from one float x, fused over math.
+
+    a, c and fold are bound once, as maps._step_args gives them, and each
+    step applies the operations of maps._step in order, so it(x, n) is a
+    float equal to the matching element of the array _iterate bit for bit
+    wherever numpy's sin rounds like math.sin.  wind is a winding already
+    run, added to the result as the loop adds its own; _iterate passes a
+    cell's when it hands the cell over.  A non-finite x is a ValueError,
+    never a number.
 
     A run of n > 64 steps stops early once its float orbit repeats, by
     _iterate's rule: y is kept at steps 1, 2, 4, ..., and a later y equal to
     the kept one means period lam = i - mark.  The whole periods left add
     their winding as one multiple, and the fewer than lam steps left run
-    plainly.  The check runs only when |x| + (|a| + b/2pi + 3) n < 2**53
+    plainly.  The check runs only when |x| + |wind| + (|a| + c + 3) n < 2**53
     bounds every partial winding, and only over the first _CYCLE_STEPS
     steps, since a locked orbit repeats far sooner and the check costs an
     orbit that never repeats about 15 % per step.  Short runs, such as the
     golden-section probes of G, pay one bool test per step.
     """
-    a, c, fold = _step_args(lift)
     sin, floor, isfinite = math.sin, math.floor, math.isfinite
     # Bound on |floor(y)| after one step from a reduced y.
     span = abs(a) + c + 3.0
     if fold is not None:
         w, lo, hi, value = fold
 
-    def it(x: float, n: int) -> float:
-        y, wind = float(x), 0.0
+    def it(x: float, n: int, wind: float = 0.0) -> float:
+        y = float(x)
         if not isfinite(y):
             raise ValueError(f"x must be finite, got {x!r}")
         if n > 64:
-            check, nxt, jumped = abs(y) + span * n < _EXACT, 0, False
+            check, nxt, jumped = abs(y) + abs(wind) + span * n < _EXACT, 0, False
         else:
             check = False
         for i in range(n):

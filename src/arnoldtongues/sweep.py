@@ -4,9 +4,13 @@ The raster samples rotation-interval endpoints at cell centers, snaps
 them to small-denominator rationals, and can be drawn as a binary PPM or
 dumped as CSV.  Its rows of cells run through rotation._iterate, the one
 array kernel, with a per-cell a, b/2pi and fold; it stops each cell once
-its float orbit repeats and adds the whole periods left exactly, so the
-bits are those of the plain loop.  Cells are pure functions of their
-center coordinates, so output is byte-identical whatever the worker count.
+its float orbit repeats and adds the whole periods left exactly, and it
+finishes the last few live cells of an array one at a time in the scalar
+twin (assuming math.sin rounds like numpy's sin), so the bits are those
+of the plain loop.  Cells are pure functions of their center
+coordinates, so output is byte-identical whatever the worker count,
+though the blocks, and so the step at which each block's cells go
+scalar, depend on it.
 
 Each CSV artifact (raster, curve, region) has one schema, a header and a
 row template, which its writer and its loader share.
@@ -21,7 +25,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -106,7 +110,8 @@ def _raster_block(args: Tuple[np.ndarray, np.ndarray, int]) -> Tuple[np.ndarray,
     envelope and a column per a, through rotation._iterate.  They run apart
     because the lift's step costs about half the fold's, and b <= 1 cells
     that do not lock run every step.  Every cell gets the same bits whatever
-    the block it is in, since maps._step's mask keeps them.
+    the block it is in, since maps._step's mask keeps them and so does the
+    scalar kernel that finishes an array's last few cells.
     """
     bvec, avec, n_iter = args
     steep = bvec > 1.0
@@ -249,7 +254,8 @@ def render_ppm(g: RasterGrid, palette: Optional[Palette] = None) -> bytes:
     payload = bytearray()
     for los, his in zip(reversed(g.lock_lo), reversed(g.lock_hi)):
         for lo, hi in zip(los, his):
-            q = lo.denominator if lo is not None and lo == hi else 0
+            # _snap_grid shares equal fractions, so identity settles most cells without Fraction.__eq__.
+            q = lo.denominator if lo is not None and (lo is hi or lo == hi) else 0
             if q not in colors:
                 colors[q] = bytes(palette.color_for_denominator(q) if q else palette.unlocked)
             payload += colors[q]
@@ -261,40 +267,45 @@ class _Csv(NamedTuple):
     row: str  # the str.format template of every further line
 
 
+# The raster's a, b, err and lock fields arrive formatted (_raster_lines).
 _RASTER_CSV = _Csv(
-    "a,b,rho_minus,rho_plus,err,lock_lo_p,lock_lo_q,lock_hi_p,lock_hi_q",
-    "{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{},{},{},{}\n",
+    "a,b,rho_minus,rho_plus,err,lock_lo_p,lock_lo_q,lock_hi_p,lock_hi_q", "{},{},{:.17g},{:.17g},{},{},{}\n"
 )
 _CURVE_CSV = _Csv("b,a,kind,p,q,residual", "{:.17g},{:.17g},{},{},{},{:.17g}\n")
 _REGION_CSV = _Csv("b,a_left,a_right", "{:.17g},{:.17g},{:.17g}\n")
 
 
-def _lock_fields(r: Optional[Rational]) -> Tuple:
-    return ("", "") if r is None else (r.numerator, r.denominator)
+def _raster_lines(g: RasterGrid) -> Iterator[str]:
+    """The raster's CSV text a row of cells at a time, top row (b_max) first, a ascending within a row.
 
-
-def _raster_rows(g: RasterGrid) -> Iterable[Tuple]:
-    """Cell fields, top row (b_max) first, a ascending within a row."""
-    avec = g.avec.tolist()
-    for j in range(g.nb - 1, -1, -1):
-        b = float(g.bvec[j])
-        rho = zip(g.rho_minus[j].tolist(), g.rho_plus[j].tolist())
-        for a, (lo, hi), lock_lo, lock_hi in zip(avec, rho, g.lock_lo[j], g.lock_hi[j]):
-            yield (a, b, lo, hi, g.err, *_lock_fields(lock_lo), *_lock_fields(lock_hi))
+    a, b and err are formatted once each, and each distinct lock object once
+    (_snap_grid shares equal fractions); only the estimates are formatted per
+    cell.
+    """
+    num, row = "{:.17g}".format, _RASTER_CSV.row.format
+    avec, err = [num(a) for a in g.avec.tolist()], num(g.err)
+    locks = {id(r): r for side in (g.lock_lo, g.lock_hi) for cells in side for r in cells}
+    text = {k: "," if r is None else f"{r.numerator},{r.denominator}" for k, r in locks.items()}
+    rows = zip(g.bvec.tolist(), g.rho_minus.tolist(), g.rho_plus.tolist(), g.lock_lo, g.lock_hi)
+    for b, rho_minus, rho_plus, *sides in reversed(list(rows)):
+        locks = (map(text.__getitem__, map(id, side)) for side in sides)
+        yield "".join(map(row, avec, itertools.repeat(num(b)), rho_minus, rho_plus, itertools.repeat(err), *locks))
 
 
 def export_csv(obj: Union[RasterGrid, BoundaryCurve, Region], path: str) -> None:
     """Write the object's canonical CSV form (deterministic bytes)."""
     if isinstance(obj, RasterGrid):
-        schema, rows = _RASTER_CSV, _raster_rows(obj)
+        schema, lines = _RASTER_CSV, _raster_lines(obj)
     elif isinstance(obj, BoundaryCurve):
         label = (obj.kind, obj.label.numerator, obj.label.denominator)
-        schema, rows = _CURVE_CSV, ((b, a, *label, res) for b, a, res in obj.samples)
+        schema = _CURVE_CSV
+        lines = (schema.row.format(b, a, *label, res) for b, a, res in obj.samples)
     elif isinstance(obj, Region):
-        schema, rows = _REGION_CSV, obj.slices
+        schema = _REGION_CSV
+        lines = (schema.row.format(*row) for row in obj.slices)
     else:
         raise TypeError(f"cannot export {type(obj).__name__} as CSV")
-    text = schema.header + "\n" + "".join(schema.row.format(*row) for row in rows)
+    text = schema.header + "\n" + "".join(lines)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
 

@@ -1,5 +1,6 @@
 """Small helpers shared between test modules."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,15 +15,35 @@ def locate_edge(kind, r, b, tol=1e-8):
 
 
 def counting_step(monkeypatch):
-    """Patch rotation._step to add the size of each array it steps to the returned one-element list."""
-    step = rotation._step
+    """Count the steps of rotation's kernels in the returned one-element list.
+
+    Each array that rotation._step steps adds its size, and each step of a
+    scalar kernel that rotation._scalar_kernel builds while patched adds one:
+    the kernel binds math.floor when it is built and calls it once a step,
+    twice with a fold, so a counting floor built into it counts every call
+    on a lift and every other call on an envelope.
+    """
+    step, kernel, floor = rotation._step, rotation._scalar_kernel, math.floor
     count = [0]
 
     def counting(y, *args):
         count[0] += y.size
         return step(y, *args)
 
+    def counting_kernel(a, c, fold):
+        calls, per_step = itertools.count(), 1 if fold is None else 2
+
+        def counting_floor(v):
+            if next(calls) % per_step == 0:
+                count[0] += 1
+            return floor(v)
+
+        with monkeypatch.context() as m:
+            m.setattr(math, "floor", counting_floor)
+            return kernel(a, c, fold)
+
     monkeypatch.setattr(rotation, "_step", counting)
+    monkeypatch.setattr(rotation, "_scalar_kernel", counting_kernel)
     return count
 
 
@@ -32,6 +53,12 @@ def iterate_reference(lift, x, n):
     Each step is eval_lift's float expression, folded onto the plateau the
     way MonotoneLift.eval folds, and every one of the n steps runs.
     """
+    y, wind = reduced_reference(lift, x, n)
+    return y + wind
+
+
+def reduced_reference(lift, x, n):
+    """The reduced y and the winding after iterate_reference's n steps, apart."""
     raw, fold = (lift, None) if isinstance(lift, Params) else (lift.base, lift._fold)
     y, wind = float(x), 0.0
     for _ in range(n):
@@ -45,4 +72,4 @@ def iterate_reference(lift, x, n):
         k = math.floor(y)
         wind += k
         y -= k
-    return y + wind
+    return y, wind

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 
 from arnoldtongues import (
     MINUS,
+    NoOrbitError,
     PLUS,
     Params,
     envelope,
+    find_periodic_orbits,
     level_sign,
     plateau_edges,
     rho_bounds_bruteforce,
@@ -26,7 +29,7 @@ from arnoldtongues import rotation
 from arnoldtongues.maps import _step_args
 from arnoldtongues.rotation import TOLZ, _cyclic_minima, _iterate, _scalar_iterate, level_gap
 from arnoldtongues.solvers import golden_min
-from helpers import counting_step, iterate_reference
+from helpers import counting_step, iterate_reference, reduced_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -376,6 +379,80 @@ def test_iterate_matches_plain_loop_property(data, xs, n, folded, per_cell):
     assert [y.hex() for y in got.tolist()] == want
 
 
+# Locked lifts whose float orbits repeat with periods 2 to 25.
+_LOCKED_RAW = st.sampled_from([Params(a, b) for a, b in ((0.5, 0.95), (0.34, 0.95), (0.3333, 0.95))])
+_LOCKED_FOLDED = st.sampled_from(
+    [
+        envelope(Params(a, b), which)
+        for a, b, which in (
+            (0.5, 2.0, MINUS),  # 1/2
+            (0.33, 2.0, PLUS),  # 1/3
+            (0.28, 2.0, PLUS),  # 1/4
+            (0.75, 2.0, MINUS),  # 6/7
+            (0.655, 1.5, PLUS),  # 8/11
+            (0.41, 1.6, PLUS),  # 7/15
+        )
+    ]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    size=st.integers(1, 80),
+    n=st.one_of(st.integers(65, 5000), st.integers(32, 300).map(lambda k: 2 * k + 1)),
+    folded=st.booleans(),
+)
+def test_iterate_scalar_tail_matches_plain_loop_property(data, size, n, folded):
+    # Per-cell lifts, most of them locked, so cells stop at different steps and
+    # the last few finish in the scalar kernel, each with its own (a, c, fold)
+    # and its winding so far: some before their first repeat, some after a jump
+    # with steps left over.  The bits are the plain loop's whatever the number
+    # of cells handed over, so it is drawn too.
+    lifts = st.one_of(_LOCKED_FOLDED, _FOLDED) if folded else st.one_of(_LOCKED_RAW, _RAW)
+    cells = data.draw(st.lists(lifts, min_size=size, max_size=size))
+    xs = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=size, max_size=size))
+    # Some cells start past a transient of 300 steps, on their cycle if locked.
+    for k in data.draw(st.sets(st.integers(0, size - 1))):
+        xs[k] = iterate_reference(cells[k], xs[k], 300) % 1.0
+    a, c = np.array([_step_args(m)[:2] for m in cells]).T
+    fold = tuple(np.array([_step_args(m)[2] for m in cells]).T) if folded else None
+    with mock.patch.object(rotation, "_TAIL_CELLS", data.draw(st.integers(1, size))):
+        got = _iterate(np.array(xs), a, c, fold, n)
+    assert [y.hex() for y in got.tolist()] == [iterate_reference(m, x, n).hex() for m, x in zip(cells, xs)]
+
+
+def test_iterate_hands_a_jumped_cell_to_the_scalar_tail(monkeypatch):
+    # Two envelopes started on their float cycles, of periods 2 and 3.  With
+    # marks at steps 1, 2, 4, 8, ... the period-2 cell repeats at step 6 and,
+    # for odd n, ends at 7; the period-3 one repeats at step 7 and jumps with
+    # (n - 7) % 3 steps left.  The compaction at step 7 leaves it alone, so it
+    # finishes those steps in the scalar kernel with the winding of its jump.
+    cells = [envelope(Params(0.5, 2.0), MINUS), envelope(Params(0.33, 2.0), PLUS)]
+    xs = [reduced_reference(m, 0.0, 300)[0] for m in cells]
+    for m, x, lam in zip(cells, xs, (2, 3)):
+        assert [reduced_reference(m, x, k)[0] == x for k in range(1, lam + 1)] == [False] * (lam - 1) + [True]
+    calls, kernel = [], rotation._scalar_kernel
+
+    def recording(a, c, fold):
+        it = kernel(a, c, fold)
+
+        def run(x, n, wind=0.0):
+            calls.append((n, wind))
+            return it(x, n, wind)
+
+        return run
+
+    monkeypatch.setattr(rotation, "_scalar_kernel", recording)
+    a, c = np.array([_step_args(m)[:2] for m in cells]).T
+    fold = tuple(np.array([_step_args(m)[2] for m in cells]).T)
+    for n, left in ((1001, 1), (1005, 2)):
+        calls.clear()
+        got = _iterate(np.array(xs), a, c, fold, n)
+        assert [y.hex() for y in got.tolist()] == [iterate_reference(m, x, n).hex() for m, x in zip(cells, xs)]
+        assert [k for k, _ in calls] == [left] and calls[0][1] > 300, (n, calls)
+
+
 def test_iterate_empty_array():
     for lift in _kernel_lifts(0.1, 0.8) + _kernel_lifts(0.27, 2.6):
         assert _iterate(np.array([]), *_step_args(lift), 1000).shape == (0,)
@@ -397,6 +474,38 @@ def test_level_grid_cycle_check_at_large_q(monkeypatch):
         assert count[0] < len(grid) * 71 / 2, lift
     with pytest.raises(ValueError, match="exceeds q_max"):
         rotation._level_grid(Params(0.1, 0.9), r, 64)
+
+
+def test_level_grids_never_build_a_scalar_tail(monkeypatch):
+    # A level grid of q <= 64 steps never runs the cycle check, so no cell
+    # stops early and _iterate hands none to the scalar kernel.  Kernels are
+    # still built, by _scalar_iterate for the golden sections of the dips.
+    inside, built = [False], []
+    iterate, kernel = rotation._iterate, rotation._scalar_kernel
+
+    def flagged(*args):
+        inside[0] = True
+        try:
+            return iterate(*args)
+        finally:
+            inside[0] = False
+
+    def recording(*args):
+        built.append(inside[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(rotation, "_iterate", flagged)
+    monkeypatch.setattr(rotation, "_scalar_kernel", recording)
+    for a, b in ((0.28, 2.0), (0.33, 2.0), (0.1, 0.9), (0.3333, 0.95)):
+        for r in (Fraction(1, 4), Fraction(1, 3), Fraction(21, 64)):
+            for which in (PLUS, MINUS):
+                level_sign(envelope(Params(a, b), which), r)
+                level_gap(envelope(Params(a, b), which), r, 1)
+            try:
+                find_periodic_orbits(Params(a, b), r)
+            except NoOrbitError:
+                pass
+    assert built and not any(built)
 
 
 def test_scalar_iterate_cycle_shortcut_every_remainder():

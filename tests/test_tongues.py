@@ -685,10 +685,10 @@ def test_certified_saddle_roots_are_parabolic_orbits(monkeypatch):
     # Orbit-side oracle: where the saddle pass decided, its (x*, a*) closes
     # an orbit of the raw lift with multiplier 1, and level_sign puts
     # a* -+ 1e-9 on the edge's two sides.  The orbit scan must find that
-    # orbit parabolic too, within 1e-6.  It locates a double root as the
-    # golden-section minimum of |G|, only to about sqrt(1e-16 / G_xx), so its
-    # multiplier is checked for q <= 4; for Ar 2/5 near b = 1.8 it reads up
-    # to 1.2e-6 off at a root whose own (F^q)' - 1 is below 1e-9.
+    # orbit parabolic too, within 1e-6, q = 5 included: for Ar 2/5 near
+    # b = 1.8 the golden-section minimum of |G| alone, which places a double
+    # root only to about sqrt(1e-16 / G_xx), read the multiplier up to 1.2e-6
+    # off, and the scan now moves each dip root to the zero of G_x.
     roots = {}
     newton = tongues._saddle_node
 
@@ -722,8 +722,7 @@ def test_certified_saddle_roots_are_parabolic_orbits(monkeypatch):
             assert abs(_closure_deriv(p, r.denominator, x_star)) < 1e-9, (kind, r, b)
             below, above = (level_sign(envelope(Params(a_star + d, b), which), r) for d in (-1e-9, 1e-9))
             assert below <= cut < above, (kind, r, b)
-            if r.denominator <= 4:
-                assert boundary_condition_residuals(p, r).saddle_node < 1e-6, (kind, r, b)
+            assert boundary_condition_residuals(p, r).saddle_node < 1e-6, (kind, r, b)
             checked += 1
     assert checked > 50
 
