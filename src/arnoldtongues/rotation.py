@@ -15,13 +15,23 @@ runs on the scalar one and the raster (sweep) on the array one.  Both stop
 a long run once its float orbit repeats and add the whole periods'
 winding exactly, so a locked lift costs a few dozen steps, bit for bit.
 The array kernel hands its last few live cells to the scalar one, which
-keeps the bits as long as math.sin rounds like numpy's sin.  The
-certificate and the orbit scan in orbits share G and its dip search
-(_dips).
+keeps the bits as long as math.sin rounds like numpy's sin.  A level grid
+of a lift without a fold takes its first step from a cached sine of the
+grid (_grid_sin).  The certificate and the orbit scan in orbits share G
+and its dip search (_dips).
+
+A lock is proved first from the float cycle the scalar kernel reports
+(_cycle_rho): for a nondecreasing lift rho = p/q exactly when G has a
+zero, and outward-rounded bounds of G (_g_bounds, which assume math.sin
+is within one ulp and allow for the float plateau's own error) that
+change sign beside the cycle prove one.  level_sign, the sign of G over a
+grid and its sharpened dips, decides only where no cycle was found or
+the bounds do not separate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +40,7 @@ from typing import Callable, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from .maps import MINUS, PLUS, TWO_PI, ArrayLike, MonotoneLift, Params, envelope, eval_lift
-from .maps import _step, _step_args
+from .maps import _plateau, _step, _step_args
 from .solvers import golden_min
 
 # Rational values are plain stdlib fractions throughout the package.
@@ -95,12 +105,16 @@ class RotationInterval:
         return self.hi.value - self.lo.value
 
 
-def _iterate(x: np.ndarray, a: ArrayLike, c: ArrayLike, fold: Optional[Tuple], n: int) -> np.ndarray:
+def _iterate(
+    x: np.ndarray, a: ArrayLike, c: ArrayLike, fold: Optional[Tuple], n: int, wind: Optional[np.ndarray] = None
+) -> np.ndarray:
     """n winding-reduced steps _step(y, a, c, fold) from the float array x, cells stopped at their cycle.
 
     a, c and each column of fold (as maps._step_args binds a lift) are a
     scalar or an array of x's length.  The integer winding is kept apart, so
-    the sin sees a reduced argument.  _scalar_iterate is the float twin.
+    the sin sees a reduced argument; wind is a winding already run, added
+    into the zero winding as a step adds its own (_level_grid passes its
+    first step's).  _scalar_iterate is the float twin.
 
     A cell stops once its float orbit repeats (Brent's cycle check): y and
     the wind are kept at steps 1, 2, 4, ..., marks all cells share, and a
@@ -126,11 +140,13 @@ def _iterate(x: np.ndarray, a: ArrayLike, c: ArrayLike, fold: Optional[Tuple], n
     n <= 64 steps never compacts, so it never reaches this tail.
     """
     y = np.array(x, dtype=float)
-    wind = np.zeros_like(y)
+    seed, wind = wind, np.zeros_like(y)
+    if seed is not None:
+        wind += seed
     if not y.size:
         return y
     cells = [a, c, *(() if fold is None else fold)]  # the arrays among them are compacted with y
-    check = n > 64 and np.max(np.abs(y), initial=0.0) + (
+    check = n > 64 and np.max(np.abs(y), initial=0.0) + np.max(np.abs(wind), initial=0.0) + (
         np.max(np.abs(a), initial=0.0) + np.max(c, initial=0.0) + 3.0
     ) * n < _EXACT
     out, stop, nxt = None, n + 1, 1
@@ -182,7 +198,7 @@ def _scalar_iterate(lift: Union[MonotoneLift, Params]) -> Callable[..., float]:
 
 
 def _scalar_kernel(a: float, c: float, fold: Optional[Tuple]) -> Callable[..., float]:
-    """it(x, n, wind=0.0), n winding-reduced steps _step(y, a, c, fold) from one float x, fused over math.
+    """it(x, n, wind=0.0, cycle=None), n winding-reduced steps _step(y, a, c, fold) from one float x, fused over math.
 
     a, c and fold are bound once, as maps._step_args gives them, and each
     step applies the operations of maps._step in order, so it(x, n) is a
@@ -200,7 +216,10 @@ def _scalar_kernel(a: float, c: float, fold: Optional[Tuple]) -> Callable[..., f
     bounds every partial winding, and only over the first _CYCLE_STEPS
     steps, since a locked orbit repeats far sooner and the check costs an
     orbit that never repeats about 15 % per step.  Short runs, such as the
-    golden-section probes of G, pay one bool test per step.
+    golden-section probes of G, pay one bool test per step.  A list passed
+    as cycle receives the repeat found, (lam, W, y*): the period, its
+    winding and the reduced y where it closed, a point on the float cycle
+    (_cycle_rho proves a lock from it).
     """
     sin, floor, isfinite = math.sin, math.floor, math.isfinite
     # Bound on |floor(y)| after one step from a reduced y.
@@ -208,7 +227,7 @@ def _scalar_kernel(a: float, c: float, fold: Optional[Tuple]) -> Callable[..., f
     if fold is not None:
         w, lo, hi, value = fold
 
-    def it(x: float, n: int, wind: float = 0.0) -> float:
+    def it(x: float, n: int, wind: float = 0.0, cycle: Optional[list] = None) -> float:
         y = float(x)
         if not isfinite(y):
             raise ValueError(f"x must be finite, got {x!r}")
@@ -236,8 +255,10 @@ def _scalar_kernel(a: float, c: float, fold: Optional[Tuple]) -> Callable[..., f
                     # Add the whole periods left at once, then run the rest and stop at nxt.
                     # Not a recursive call: a self-referencing closure per level function
                     # is a reference cycle, which slowed the trace benchmark about 4 %.
-                    lam, rest = i - mark, n - i - 1
-                    wind += rest // lam * (wind - w_mark)
+                    lam, rest, w_lam = i - mark, n - i - 1, wind - w_mark
+                    if cycle is not None:
+                        cycle.extend((lam, w_lam, y))
+                    wind += rest // lam * w_lam
                     if not rest % lam:
                         break
                     nxt, y_mark, jumped = i + rest % lam, math.nan, True
@@ -315,21 +336,48 @@ def _dips(
         yield xm, f(xm)
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_sin(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The grid arange(n)/n and sin(2 pi grid), both read-only; the last 8 n are kept.
+
+    The orbit scan of a label p/q runs 4096 q points, about 1 MB of tables
+    for q <= 5.
+    """
+    grid = np.arange(n, dtype=float) / n
+    sin = np.sin(TWO_PI * grid)
+    grid.flags.writeable = sin.flags.writeable = False
+    return grid, sin
+
+
 def _level_grid(
     lift: Union[MonotoneLift, Params], r: Rational, q_max: int, density: int = 8
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The grid arange(n)/n, n = max(64, density*q), and G(x) = f^q(x) - x - p of r = p/q on it.
 
     f is the lift, a MonotoneLift or a raw Params one, and G runs through the
-    array _iterate.  The default density is level_sign's and level_gap's;
-    the orbit scan passes its own.
+    array _iterate.  A lift without a fold (a raw one, or a MonotoneLift for
+    b <= 1) takes its first step from the cached sine of the grid
+    (_grid_sin), the float operations of maps._step, and its winding seeds
+    _iterate's, so the bits are the plain q steps'.  The default density is
+    level_sign's and level_gap's; the orbit scan passes its own.
     """
     q = r.denominator
-    if q > q_max:
-        raise ValueError(f"denominator {q} exceeds q_max={q_max}")
+    _check_q(r, q_max)
     n_grid = max(64, density * q)
+    a, c, fold = _step_args(lift)
+    if fold is None:
+        grid, sin = _grid_sin(n_grid)
+        y = grid + a + c * sin
+        k = np.floor(y)
+        return grid, _iterate(y - k, a, c, None, q - 1, k) - grid - r.numerator
     grid = np.arange(n_grid, dtype=float) / n_grid
-    return grid, _iterate(grid, *_step_args(lift), q) - grid - r.numerator
+    return grid, _iterate(grid, a, c, fold, q) - grid - r.numerator
+
+
+def _check_q(r: Rational, q_max: int) -> None:
+    """ValueError when the denominator of r exceeds q_max."""
+    if r.denominator > q_max:
+        raise ValueError(f"denominator {r.denominator} exceeds q_max={q_max}")
 
 
 def level_sign(m: MonotoneLift, r: Rational, q_max: int = Q_MAX_DEFAULT) -> int:
@@ -387,16 +435,93 @@ def level_gap(m: MonotoneLift, r: Rational, s: int, q_max: int = Q_MAX_DEFAULT) 
     return float(s * (low - (TOLZ if s == 1 else math.nextafter(TOLZ, math.inf))))
 
 
+def _g_bounds(m: MonotoneLift, r: Rational) -> Callable[[float, int], float]:
+    """bound(x, s): a lower (s = -1) or upper (s = 1) bound of G(x) = M^q(x) - x - p of r = p/q.
+
+    M is the true envelope of F_{a,b} (the lift itself for b <= 1) at m's
+    float a and b, not its float twin.  Each of the q steps is one step of
+    the scalar kernel from the bound so far, moved outward by
+    e = 2**-48 (1 + |a| + b), about twice what the step's roundings can add
+    up to if math.sin is within one ulp, and rounded outward; the winding is
+    split off the same way.  As M is nondecreasing, M^j(x) stays between the
+    two bounds.  For b > 1, e also holds the plateau's own error: the float
+    flat piece ends at a bisect_root midpoint (maps._plateau), where F is
+    within about (1 + b) 1e-14 of the flat value, so next to that end the
+    float step and the true M can differ by that much.
+    """
+    it, q, p_num = _scalar_iterate(m), r.denominator, r.numerator
+    b = m.base.b
+    e = 2.0**-48 * (1.0 + abs(m.base.a) + b)
+    if m.plateau_start is not None:
+        x_max, end = _plateau(b)
+        c = b / TWO_PI
+        e += abs(end + c * math.sin(TWO_PI * end) - (x_max + c * math.sin(TWO_PI * x_max))) + 4.0 * e
+    floor, nextafter = math.floor, math.nextafter
+
+    def bound(x: float, s: int) -> float:
+        y, wind, out = x, 0.0, s * math.inf
+        for _ in range(q):
+            y = nextafter(it(y, 1) + s * e, out)
+            k = floor(y)
+            wind += k
+            y = nextafter(y - k, out)
+        return nextafter(nextafter(y - x, out) + (wind - p_num), out)
+
+    return bound
+
+
+def _cycle_rho(m: MonotoneLift, lam: int, w: float, y: float) -> Optional[Rational]:
+    """The rotation number of m, W/lam, proved from a float cycle of period lam and winding W through y; or None.
+
+    For a nondecreasing lift, rho = p/q exactly when G = M^q - x - p has a
+    zero.  An attracting cycle of r = W/lam (reduced) puts a falling zero of
+    G next to its points, so G(y - d) > 0 > G(y + d), enclosed by
+    _g_bounds, proves rho = r by the intermediate value theorem, for the
+    first d of 1e-12, 1e-9 and 1e-6 where the enclosures separate.  None
+    decides nothing: no separation, as at a neutral or parabolic cycle.
+    """
+    r = Fraction(int(w), lam)
+    bound = _g_bounds(m, r)
+    for d in (1e-12, 1e-9, 1e-6):
+        if bound(y - d, -1) > 0.0 and bound(y + d, 1) < 0.0:
+            return r
+    return None
+
+
+def _is_rho(m: MonotoneLift, r: Rational, q_max: int, cycle: list) -> bool:
+    """Whether the rotation number of m is r, from the kernel's cycle report (lam, W, y*) or level_sign.
+
+    A cycle of at most 4q + 64 steps that _cycle_rho proves gives the answer
+    W/lam == r either way, since rho is unique.  Without one, or without a
+    proof, level_sign(m, r) == 0 decides.
+    """
+    if cycle and cycle[0] <= 4 * r.denominator + 64:
+        rho = _cycle_rho(m, *cycle)
+        if rho is not None:
+            return rho == r
+    return level_sign(m, r, q_max=q_max) == 0
+
+
 def rho_exact_rational_test(
     m: MonotoneLift, r: Rational, q_max: int = Q_MAX_DEFAULT
 ) -> bool:
     """True when the rotation number of m is certified to equal r exactly.
 
-    The certificate is the sign behaviour of m^q - id - p on one period.
-    A true result is rigorous up to the zero-band tolerance; a false
-    result means the level function kept a strict sign everywhere sampled.
+    m runs 4q + 64 steps from 0 in the scalar kernel, enough for the cycle
+    check to run.  If the float orbit repeats and _cycle_rho proves the
+    rotation number W/lam from an enclosure of G beside the cycle, the
+    answer is W/lam == r: a true result is then a proof (if math.sin is
+    within one ulp), and a false one proves the rotation number is another
+    rational.  Otherwise level_sign decides, on the sign behaviour of
+    m^q - id - p over one period: a true result is rigorous up to the
+    zero-band tolerance, and a false one means the level function kept a
+    strict sign everywhere sampled.  A denominator above q_max is a
+    ValueError either way.
     """
-    return level_sign(m, r, q_max=q_max) == 0
+    _check_q(r, q_max)
+    cycle: list = []
+    _scalar_iterate(m)(0.0, 4 * r.denominator + 64, cycle=cycle)
+    return _is_rho(m, r, q_max, cycle)
 
 
 def rho_monotone(
@@ -412,23 +537,26 @@ def rho_monotone(
     _scalar_iterate, which cuts a repeating float orbit short, bit for bit,
     so a locked lift costs a few dozen steps for any n.  The estimate is
     then snapped to the nearest rational with denominator at most q_max
-    inside the error bound; the snap is reported only when the exact
-    level-set certificate confirms it.  Pass q_max=0 to skip snapping;
-    a negative q_max is a ValueError.
+    inside the error bound; the snap is reported only when it is the
+    rotation number proved from the float cycle the iteration found
+    (_cycle_rho), or, without such a proof, when the level-set certificate
+    confirms it, as in rho_exact_rational_test.  Pass q_max=0 to skip
+    snapping; a negative q_max is a ValueError.
     """
     _check_n_iter(n_iter)
     if q_max < 0:
         raise ValueError(f"q_max must be >= 0, got {q_max!r}")
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0!r}")
-    value = (_scalar_iterate(m)(x0, n_iter) - x0) / n_iter
+    cycle: list = []
+    value = (_scalar_iterate(m)(x0, n_iter, cycle=cycle) - x0) / n_iter
     if not math.isfinite(value):
         raise ValueError(f"rotation estimate overflowed: offset a = {m.base.a!r} is too large")
     bound = 1.0 / n_iter
     cert: Optional[Rational] = None
     if q_max > 0:
         cand = snap_rational(value, bound + 1e-12, q_max)
-        if cand is not None and rho_exact_rational_test(m, cand, q_max=q_max):
+        if cand is not None and _is_rho(m, cand, q_max, cycle):
             cert = cand
     return RhoEstimate(value=value, error_bound=bound, exact_rational=cert, n_iter=n_iter)
 

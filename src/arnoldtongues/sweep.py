@@ -267,9 +267,9 @@ class _Csv(NamedTuple):
     row: str  # the str.format template of every further line
 
 
-# The raster's a, b, err and lock fields arrive formatted (_raster_lines).
+# The raster's fields arrive formatted (_raster_lines).
 _RASTER_CSV = _Csv(
-    "a,b,rho_minus,rho_plus,err,lock_lo_p,lock_lo_q,lock_hi_p,lock_hi_q", "{},{},{:.17g},{:.17g},{},{},{}\n"
+    "a,b,rho_minus,rho_plus,err,lock_lo_p,lock_lo_q,lock_hi_p,lock_hi_q", "{},{},{},{},{},{},{}\n"
 )
 _CURVE_CSV = _Csv("b,a,kind,p,q,residual", "{:.17g},{:.17g},{},{},{},{:.17g}\n")
 _REGION_CSV = _Csv("b,a_left,a_right", "{:.17g},{:.17g},{:.17g}\n")
@@ -280,16 +280,19 @@ def _raster_lines(g: RasterGrid) -> Iterator[str]:
 
     a, b and err are formatted once each, and each distinct lock object once
     (_snap_grid shares equal fractions); only the estimates are formatted per
-    cell.
+    cell, and once for both ends of a row whose two estimates are the same
+    floats, as on b <= 1 rows (_raster_block copies the lift's into both).
     """
     num, row = "{:.17g}".format, _RASTER_CSV.row.format
     avec, err = [num(a) for a in g.avec.tolist()], num(g.err)
     locks = {id(r): r for side in (g.lock_lo, g.lock_hi) for cells in side for r in cells}
     text = {k: "," if r is None else f"{r.numerator},{r.denominator}" for k, r in locks.items()}
-    rows = zip(g.bvec.tolist(), g.rho_minus.tolist(), g.rho_plus.tolist(), g.lock_lo, g.lock_hi)
+    rows = zip(g.bvec.tolist(), g.rho_minus, g.rho_plus, g.lock_lo, g.lock_hi)
     for b, rho_minus, rho_plus, *sides in reversed(list(rows)):
+        minus = list(map(num, rho_minus.tolist()))
+        plus = minus if rho_minus.tobytes() == rho_plus.tobytes() else list(map(num, rho_plus.tolist()))
         locks = (map(text.__getitem__, map(id, side)) for side in sides)
-        yield "".join(map(row, avec, itertools.repeat(num(b)), rho_minus, rho_plus, itertools.repeat(err), *locks))
+        yield "".join(map(row, avec, itertools.repeat(num(b)), minus, plus, itertools.repeat(err), *locks))
 
 
 def export_csv(obj: Union[RasterGrid, BoundaryCurve, Region], path: str) -> None:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from arnoldtongues import load_curve_csv
+from arnoldtongues import load_curve_csv, rotation
 from arnoldtongues.cli import _build_parser, main
 
 SUBCOMMANDS = {
@@ -125,6 +125,7 @@ def test_usage_error_exit_codes(capsys, tmp_path):
         ["snap", "--value", "inf", "--tol", "0.1"],
         ["snap", "--value", "nan", "--tol", "0.1"],
         ["rho", "--a", "0.1", "--b", "2", "--x0", "inf"],
+        ["rho", "--a", "0.28", "--b", "2", "--test", "1/70"],
         ["trace", "--kind", "Bl", "--rot", "0/1", "--b-min", "1", "--b-max", "2", "--step", "inf"],
         ["snap", "--value", "0.5", "--tol", "nan"],
         ["rho", "--a", "1e308", "--b", "2"],
@@ -284,6 +285,28 @@ def test_rho_certificate_flag(capsys):
     assert yes["test_result"] is True
     no = run_json(capsys, ["rho", "--a", "0.25", "--b", "0", "--test", "0/1"])
     assert no["test_result"] is False
+
+
+def test_query_output_does_not_depend_on_the_cycle_proof(capsys, monkeypatch):
+    # interval and rho --test on both sides of b = 1, locked and not: with the
+    # proof patched to decide nothing, level_sign answers, and stdout is the same.
+    argvs = []
+    for a in (0.05, 0.28, 0.5, 0.71, 0.93):
+        for b in (0.0, 0.3, 0.97, 1.5, 2.6, 3.8):
+            pt = ["--a", repr(a), "--b", repr(b), "--json"]
+            argvs.append(["interval", *pt])
+            for which in ("plus", "minus"):
+                for label in ("0/1", "1/4", "1/3", "1/2", "2/3", "3/4", "1/1"):
+                    argvs.append(["rho", *pt, "--envelope", which, "--test", label])
+
+    def stdout(argv):
+        assert main(argv) == 0, argv
+        return capsys.readouterr().out
+
+    with_proof = [stdout(argv) for argv in argvs]
+    monkeypatch.setattr(rotation, "_cycle_rho", lambda *args: None)
+    assert [stdout(argv) for argv in argvs] == with_proof
+    assert sum('"test_result": true' in out for out in with_proof) > 20
 
 
 def test_rho_estimate_keys(capsys):

@@ -28,7 +28,7 @@ from arnoldtongues import (
 from arnoldtongues import rotation
 from arnoldtongues.maps import _step_args
 from arnoldtongues.rotation import TOLZ, _cyclic_minima, _iterate, _scalar_iterate, level_gap
-from arnoldtongues.solvers import golden_min
+from arnoldtongues.solvers import bisect, golden_min
 from helpers import counting_step, iterate_reference, reduced_reference
 
 TWO_PI = 2.0 * math.pi
@@ -654,3 +654,175 @@ def test_level_gap_slope_where_the_grid_misses_a_peak():
     # edge - 1e-3 and edge - 1e-4.  Its sign, and so the certificate, stays
     # right: every peak of G reaches zero at the edge.
     assert _gap_rises(3.0, Fraction(1, 5), PLUS, OFFSETS) >= 1.0 - 1e-9
+
+
+def _cycle(m, n=2000, x=0.0):
+    """The kernel's cycle report (lam, W, y*) for n steps of m from x, or []."""
+    cycle = []
+    _scalar_iterate(m)(x, n, cycle=cycle)
+    return cycle
+
+
+def test_kernel_reports_its_cycle_without_changing_bits():
+    lifts = [
+        envelope(Params(0.28, 2.0), PLUS),  # 1/4
+        envelope(Params(0.4, 3.0), MINUS),  # 0/1
+        envelope(Params(0.655, 1.5), PLUS),  # 8/11
+        Params(0.1, 0.9),  # 0/1
+        Params(0.3333, 0.95),  # 8/25, after a long transient
+    ]
+    for m in lifts:
+        for x in (0.0, 0.37, -2.5):
+            for n in (64, 65, 1001, 4099, 10**5):
+                cycle = []
+                got = _scalar_iterate(m)(x, n, cycle=cycle)
+                assert got.hex() == _scalar_iterate(m)(x, n).hex() == iterate_reference(m, x, n).hex()
+                if n == 64 or not cycle:
+                    assert n < 10**5 and cycle == [], (m, x, n)
+                    continue
+                lam, w, y = cycle
+                # y is a point of the float cycle: lam steps from it close with winding W.
+                assert reduced_reference(m, y, lam) == (y, w), (m, x, n)
+                assert all(reduced_reference(m, y, k)[0] != y for k in range(1, lam))
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    b=st.floats(0.0, 4.0),
+    a=st.one_of(st.floats(0.0, 1.0), st.tuples(st.integers(0, 8), st.integers(1, 8), st.floats(-0.02, 0.02)).map(
+        lambda t: t[0] / t[1] + t[2]
+    )),
+    which=st.sampled_from((PLUS, MINUS)),
+    q=st.integers(1, 8),
+    shift=st.integers(-1, 1),
+)
+def test_cycle_proof_agrees_with_level_sign_property(b, a, which, q, shift):
+    # Wherever the enclosure beside the float cycle proves rho = W/lam,
+    # level_sign must say the same: 0 at W/lam (q <= 8 here) and the side of
+    # W/lam for any other label.  A disagreement is a level_sign miss.
+    m = envelope(Params(a, b), which)
+    cycle = _cycle(m)
+    rho = rotation._cycle_rho(m, *cycle) if cycle else None
+    if rho is None:
+        return
+    labels = {Fraction(math.floor(rho * q) + shift, q)}
+    if rho.denominator <= 8:
+        labels.add(rho)
+    for r in labels:
+        assert level_sign(m, r) == _sign(rho - r), (a, b, which, rho, r)
+
+
+def _true_envelope_g(m, r, x, mp):
+    """G(x) = M^q(x) - x - p for the true envelope M of m's float a and b, to 50 digits.
+
+    M is the lift for b <= 1; for b > 1 it is max(F(x_max), F(t)) on the
+    window [x_max, x_max + 1) (plus) and min(F(x_min), F(t)) on
+    [x_min - 1, x_min) (minus), from the exact critical points.
+    """
+    with mp.workdps(50):
+        a, b, two_pi = mp.mpf(m.base.a), mp.mpf(m.base.b), 2 * mp.pi
+
+        def f(t):
+            return t + a + b / two_pi * mp.sin(two_pi * t)
+
+        if m.base.b > 1.0:
+            x_max = mp.acos(-1 / b) / two_pi
+            w = x_max if m.which == PLUS else -x_max  # x_min - 1 = -x_max
+            flat = f(x_max if m.which == PLUS else 1 - x_max)
+        y = mp.mpf(x)
+        for _ in range(r.denominator):
+            if m.base.b <= 1.0:
+                y = f(y)
+            else:
+                k = mp.floor(y - w)
+                v = f(y - k)
+                y = (max(flat, v) if m.which == PLUS else min(flat, v)) + k
+        return y - mp.mpf(x) - r.numerator
+
+
+# At b = 3.2797839... the float plateau end of maps._plateau sits where F is
+# 1.79e-14 from the flat value, more than the 1.52e-14 step error of a = 0.
+_FAR_END_B = 3.279783927975992
+
+
+def test_cycle_proof_enclosures_hold_against_mpmath():
+    # Each bound of G is checked against G of the true envelope at 50 digits:
+    # beside float cycles at every rung of the ladder; on orbits through a
+    # float plateau's far end, at the first step and at the second; and from
+    # points whose first step lands 1e-9 above an integer, where the step's
+    # rounding is many ulps of its result.
+    mp = pytest.importorskip("mpmath").mp
+    cases = []
+    for a, b, which in (
+        (0.28, 2.0, PLUS), (0.5, 2.0, MINUS), (0.655, 1.5, PLUS), (0.41, 1.6, PLUS), (0.75, 2.0, MINUS),
+        (0.3333, 0.95, PLUS), (0.1, 0.9, MINUS), (0.37, 3.7, PLUS), (0.62, 3.7, MINUS), (0.2, 1.0001, PLUS),
+        (0.0, _FAR_END_B, PLUS), (0.0, _FAR_END_B, MINUS),
+    ):
+        m = envelope(Params(a, b), which)
+        lam, w, y = _cycle(m, 10**5)
+        r = Fraction(int(w), lam)
+        cases += [(m, r, y + s * d) for d in (1e-12, 1e-9, 1e-6) for s in (-1, 1)]
+        xs = [bisect(lambda t: float(m.eval(t)) - 1e-9, -3.0, 3.0, -1.0, 0.0)[1]]
+        if m.plateau_start is not None:
+            # The far end of the flat piece (plus: its end; minus: its start), a bisect_root midpoint.
+            end = m.plateau_end if which == PLUS else m.plateau_start
+            near = [end, math.nextafter(end, -1.0), math.nextafter(end, 2.0), end - 1e-14, end + 1e-14]
+            # Points whose first step lands on that end (up to an integer).
+            for e in near[:3]:
+                k = math.floor(float(m.eval(e)) - e)
+                x = bisect(lambda t: float(m.eval(t)) - (e + k), e - 1.0, e, -1.0, 0.0)[1]
+                assert abs(float(m.eval(x)) - (e + k)) < 1e-14
+                xs.append(x)
+            xs += near
+        cases += [(m, Fraction(round(a * q) + k, q), x) for x in xs for q in (1, 2, 3) for k in (0, 1)]
+    widths = []
+    for m, r, x in cases:
+        bound = rotation._g_bounds(m, r)
+        lo, hi = bound(x, -1), bound(x, 1)
+        g = _true_envelope_g(m, r, x, mp)
+        assert lo <= g <= hi, (m, r, x, lo, float(g), hi)
+        widths.append(hi - lo)
+    assert max(widths) < 1e-10
+
+
+def test_proof_decides_locked_envelopes_without_level_sign(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rotation, "level_sign", lambda *args, **kw: calls.append(args) or 0)
+    ri = rotation_interval(Params(0.28, 2.0))
+    assert (ri.lo.exact_rational, ri.hi.exact_rational) == (Fraction(0), Fraction(1, 4))
+    assert rho_exact_rational_test(envelope(Params(0.28, 2.0), PLUS), Fraction(1, 4))
+    # Proved to be 1/4, so 1/3 is false without the fallback's answer (patched to 0 here).
+    assert not rho_exact_rational_test(envelope(Params(0.28, 2.0), PLUS), Fraction(1, 3))
+    assert calls == []
+
+
+def test_certificate_examples_take_the_fallback(monkeypatch):
+    # At the tangency a = b/2pi the fixed point is parabolic and the orbit creeps
+    # towards it; at b = 0 G is constant, so nothing separates.  level_sign decides.
+    calls, sign = [], rotation.level_sign
+    monkeypatch.setattr(rotation, "level_sign", lambda *args, **kw: calls.append(args) or sign(*args, **kw))
+    test_certificate_examples()
+    assert len(calls) == 3
+
+
+def test_level_grid_first_step_from_the_sine_table(monkeypatch, rng):
+    # Without a fold, step 1 of the level grid reads the cached sine, and the
+    # bits are the plain q steps' (seeded winding, q > 65 runs the cycle check).
+    count = counting_step(monkeypatch)
+    for _ in range(40):
+        a, b, q = float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.0, 4.0)), int(rng.choice([1, 2, 3, 5, 8, 66, 71]))
+        r = Fraction(int(rng.integers(-2, 3 * q)), q)
+        q = r.denominator
+        for lift, density in ((Params(a, b), 4096 if q <= 8 else 8), (envelope(Params(a, min(b, 1.0)), PLUS), 8)):
+            count[0] = 0
+            grid, g = rotation._level_grid(lift, r, 128, density)
+            if q <= 65:
+                assert count[0] == len(grid) * (q - 1)
+            plain = _iterate(np.arange(len(grid), dtype=float) / len(grid), *_step_args(lift), q)
+            assert [v.hex() for v in g.tolist()] == [v.hex() for v in (plain - grid - r.numerator).tolist()]
+    grid, sin = rotation._grid_sin(4096)
+    assert not (grid.flags.writeable or sin.flags.writeable)

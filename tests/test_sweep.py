@@ -692,3 +692,17 @@ def test_palette_distinct_small_denominators():
     colors = {palette.color_for_denominator(q) for q in range(1, 13)}
     assert len(colors) == 12
     assert palette.unlocked not in colors
+
+
+def test_certified_raster_bytes_do_not_depend_on_the_cycle_proof(tmp_path, monkeypatch):
+    # The proof only replaces level_sign where both decide: with it patched to
+    # decide nothing, every certificate falls back and the bytes are the same.
+    runs = {}
+    for proof in ("on", "off"):
+        if proof == "off":
+            monkeypatch.setattr(rotation, "_cycle_rho", lambda *args: None)
+        g = raster(0.0, 1.0, 0.0, 3.0, 40, 40, certify=True)
+        export_csv(g, str(tmp_path / f"{proof}.csv"))
+        runs[proof] = ((tmp_path / f"{proof}.csv").read_bytes(), render_ppm(g))
+    assert runs["on"] == runs["off"]
+    assert runs["on"][0].count(b"\n") == 1 + 40 * 40
