@@ -3,7 +3,9 @@
 An orbit with rotation label p/q solves F^q(x) = x + p.  Roots of the
 closure function G(x) = F^q(x) - x - p are found by a dense scan plus
 bisection, with the certificate's dip search (rotation._dips) for the
-double roots that appear on saddle-node loci.  Orbits are grouped by
+double roots that appear on saddle-node loci.  Both kinds of root are then
+polished by Newton on one chain-rule loop, _closure_jet: a bisected root
+on G, a double root on G_x.  Orbits are grouped by
 walking the root set with the map itself, and classified by the product
 of derivatives along one period.
 """
@@ -80,27 +82,14 @@ def classify_multiplier(m: float) -> str:
     return NEUTRAL_NONPARABOLIC
 
 
-def _closure_deriv(p: Params, q: int, x: float) -> float:
-    """(F^q)'(x) - 1, from the chain rule along the forward iterates.
-
-    Each step is deriv's and eval_lift's float expression, in their order,
-    with math bound once.
-    """
-    a, b, c = p.a, p.b, p.b / TWO_PI
-    sin, cos, floor = math.sin, math.cos, math.floor
-    y, prod = float(x), 1.0
-    for _ in range(q):
-        prod *= 1.0 + b * cos(TWO_PI * y)
-        y = y + a + c * sin(TWO_PI * y)
-        y -= floor(y)
-    return prod - 1.0
-
-
 def _closure_jet(b: float, a: float, r: Rational, x: float) -> Tuple[float, float, float, float, float]:
     """G, G_x, G_a, G_xx and G_xa at x for G = F^q(x) - x - p of r = p/q and the raw lift F_{a,b}.
 
     The derivatives come from the chain rule along the same q steps as G,
     each step eval_lift's and deriv's float expressions, with math bound once.
+    The steps and their floor reduction are rotation._closure's, so G equals
+    _closure(Params(a, b), r)(x) bit for bit, and G_x is the product of
+    deriv over the reduced iterates, minus 1.
     """
     c, q, p_num = b / TWO_PI, r.denominator, r.numerator
     sin, cos, floor = math.sin, math.cos, math.floor
@@ -164,17 +153,17 @@ def _double_root(p: Params, r: Rational, x: float) -> float:
     return x
 
 
-def _newton_polish(closure, p, q, x):
-    """Two Newton steps on the closure function, skipped near parabolics.
+def _newton_polish(p: Params, r: Rational, x: float) -> float:
+    """Two Newton steps on G, G and G_x from _closure_jet, skipped near parabolics.
 
-    Bisection alone leaves a residual up to |G'| times the bracket width;
-    polishing restores the closure invariant when G' is not tiny.
+    Bisection alone leaves a residual up to |G_x| times the bracket width;
+    polishing restores the closure invariant when G_x is not tiny.
     """
     for _ in range(2):
-        d = _closure_deriv(p, q, x)
-        if abs(d) < 1e-4:
+        g, gx, _, _, _ = _closure_jet(p.b, p.a, r, x)
+        if abs(gx) < 1e-4:
             break
-        x = x - closure(x) / d
+        x = x - g / gx
     return x
 
 
@@ -202,7 +191,7 @@ def find_periodic_orbits(
         # The bracket is 1/n <= 2**-12 wide, so 28 halvings reach 1e-12.
         lo = float(grid[i])
         lo, hi = bisect(closure, lo, lo + 1.0 / n, float(g[i]), 1e-12)
-        x = _newton_polish(closure, p, q, 0.5 * (lo + hi))
+        x = _newton_polish(p, r, 0.5 * (lo + hi))
         roots.append((x, abs(closure(x))))
     for i in np.nonzero(g == 0.0)[0]:
         roots.append((float(grid[i]), 0.0))

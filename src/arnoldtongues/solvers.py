@@ -8,8 +8,10 @@ only where numpy's sin and cos round exactly like the C library's math.sin
 and math.cos, because grids and raster blocks are evaluated with numpy
 while every scalar evaluation goes through math: the points these solvers
 probe and the rotation estimate run on the fused kernel
-rotation._scalar_iterate, and the plateau ends, the orbit scan's Newton
-derivative and single-point queries on maps.eval_lift and maps.deriv.
+rotation._scalar_iterate, the orbit scan's Newton steps on
+orbits._closure_jet, which inlines the same float expressions over math,
+and the plateau ends and single-point queries on maps.eval_lift and
+maps.deriv.
 
 bisect is the package's only bisection loop: plateau ends, orbit roots,
 tongue edges and curve crossings all go through it.

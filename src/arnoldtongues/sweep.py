@@ -222,12 +222,15 @@ def raster(
     if certify:
         for j, i in itertools.product(range(nb), range(na)):
             p = Params(float(avec[i]), float(bvec[j]))
-            for side, which in ((lock_lo, MINUS), (lock_hi, PLUS)):
+            # For b <= 1 both envelopes are the lift and both ends one snap, so one test settles both.
+            for side, which in ((lock_lo, MINUS),) if p.b <= 1.0 else ((lock_lo, MINUS), (lock_hi, PLUS)):
                 r = side[j][i]
                 if r is not None and not rho_exact_rational_test(
                     envelope(p, which), r, q_max=max(q_max, 64)
                 ):
                     side[j][i] = None
+            if p.b <= 1.0:
+                lock_hi[j][i] = lock_lo[j][i]
     return RasterGrid(
         a_min=a_min,
         a_max=a_max,

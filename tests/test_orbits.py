@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arnoldtongues import (
     PLUS,
@@ -26,8 +28,10 @@ from arnoldtongues.orbits import (
     NEUTRAL_NONPARABOLIC,
     PARABOLIC,
     SUPERATTRACTING,
+    _closure_jet,
     classify_multiplier,
 )
+from helpers import reduced_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,6 +87,23 @@ def test_certificate_agrees_with_orbit_scan_at_tongue_edges(b, r):
             else:
                 with pytest.raises(NoOrbitError):
                     find_periodic_orbits(p, r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.one_of(st.floats(-3.0, 3.0), st.floats(-1e12, 1e12)),
+    b=st.floats(0.0, 4.0),
+    x=st.one_of(st.floats(-4.0, 4.0), st.floats(-1e17, 1e17)),
+    r=st.builds(Fraction, st.integers(-20, 20), st.integers(1, 8)),
+)
+def test_closure_jet_is_closure_and_derivative_product_property(a, b, x, r):
+    # The orbit scan's Newton steps read G and G_x from the jet alone: G must be the
+    # level function's bits, and G_x those of deriv's product along the reduced iterates.
+    p = Params(a, b)
+    g, gx, _, _, _ = _closure_jet(b, a, r, x)
+    assert g.hex() == rotation._closure(p, r)(x).hex()
+    ys = [reduced_reference(p, x, k)[0] for k in range(r.denominator)]
+    assert gx.hex() == (math.prod(deriv(p, y) for y in ys) - 1.0).hex()
 
 
 def test_pair_single_class():

@@ -1,5 +1,6 @@
 """Raster sweeps, PPM rendering, and CSV round-trips."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -706,3 +707,35 @@ def test_certified_raster_bytes_do_not_depend_on_the_cycle_proof(tmp_path, monke
         runs[proof] = ((tmp_path / f"{proof}.csv").read_bytes(), render_ppm(g))
     assert runs["on"] == runs["off"]
     assert runs["on"][0].count(b"\n") == 1 + 40 * 40
+
+
+def test_certified_raster_tests_each_lock_once(tmp_path, monkeypatch):
+    # For b <= 1 both envelopes are the lift and both ends one snap, so one certificate
+    # settles the cell; the bytes are those of certifying each end on its own envelope.
+    # The fold tells the two envelopes apart exactly where they differ, at b > 1.
+    test, calls = sweep.rho_exact_rational_test, []
+
+    def counting(m, r, q_max):
+        calls.append((m.base, m._fold, r))
+        return test(m, r, q_max=q_max)
+
+    monkeypatch.setattr(sweep, "rho_exact_rational_test", counting)
+    g = raster(0.0, 1.0, 0.0, 3.0, 12, 12, certify=True)
+    assert len(calls) == len(set(calls))
+    assert any(base.b <= 1.0 for base, _, _ in calls) and any(base.b > 1.0 for base, _, _ in calls)
+
+    ref = raster(0.0, 1.0, 0.0, 3.0, 12, 12)
+    q_max = max(sweep.RASTER_Q_MAX, 64)
+    certified = {
+        name: [
+            [r if r is not None and test(envelope(Params(a, b), which), r, q_max=q_max) else None
+             for a, r in zip(ref.avec.tolist(), row)]
+            for b, row in zip(ref.bvec.tolist(), getattr(ref, name))
+        ]
+        for name, which in (("lock_lo", MINUS), ("lock_hi", PLUS))
+    }
+    ref = dataclasses.replace(ref, **certified)
+    export_csv(g, str(tmp_path / "g.csv"))
+    export_csv(ref, str(tmp_path / "ref.csv"))
+    assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert render_ppm(g) == render_ppm(ref)

@@ -23,12 +23,11 @@ from arnoldtongues import (
     region_boundary,
     trace_curve,
 )
-from arnoldtongues import envelope, level_sign, tongues
-from arnoldtongues.orbits import _closure_deriv
+from arnoldtongues import deriv, envelope, level_sign, tongues
 from arnoldtongues.rotation import _closure, level_gap
 from arnoldtongues.tongues import _locate_edges, default_window
 
-from helpers import locate_edge
+from helpers import locate_edge, reduced_reference
 from oracle_values import B_SPLIT, B_TIP, BL0, HALFWIDTH_B05, HALFWIDTH_B2
 
 TWO_PI = 2.0 * math.pi
@@ -719,7 +718,9 @@ def test_certified_saddle_roots_are_parabolic_orbits(monkeypatch):
             x_star = roots[(b, a_star)]
             p = Params(a_star, b)
             assert abs(_closure(p, r)(x_star)) < 1e-9, (kind, r, b)
-            assert abs(_closure_deriv(p, r.denominator, x_star)) < 1e-9, (kind, r, b)
+            # (F^q)' - 1 as a plain product of deriv along the reduced iterates, not the jet's loop.
+            ys = (reduced_reference(p, x_star, k)[0] for k in range(r.denominator))
+            assert abs(math.prod(deriv(p, y) for y in ys) - 1.0) < 1e-9, (kind, r, b)
             below, above = (level_sign(envelope(Params(a_star + d, b), which), r) for d in (-1e-9, 1e-9))
             assert below <= cut < above, (kind, r, b)
             assert boundary_condition_residuals(p, r).saddle_node < 1e-6, (kind, r, b)
