@@ -15,10 +15,9 @@ runs on the scalar one and the raster (sweep) on the array one.  Both stop
 a long run once its float orbit repeats and add the whole periods'
 winding exactly, so a locked lift costs a few dozen steps, bit for bit.
 The array kernel hands its last few live cells to the scalar one, which
-keeps the bits as long as math.sin rounds like numpy's sin.  A level grid
-of a lift without a fold takes its first step from a cached sine of the
-grid (_grid_sin).  The certificate and the orbit scan in orbits share G
-and its dip search (_dips).
+keeps the bits as long as math.sin rounds like numpy's sin.  The
+certificate and the orbit scan in orbits share G and its dip search
+(_dips).
 
 A lock is proved first from the float cycle the scalar kernel reports
 (_cycle_rho): for a nondecreasing lift rho = p/q exactly when G has a
@@ -31,7 +30,6 @@ the bounds do not separate.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,16 +103,12 @@ class RotationInterval:
         return self.hi.value - self.lo.value
 
 
-def _iterate(
-    x: np.ndarray, a: ArrayLike, c: ArrayLike, fold: Optional[Tuple], n: int, wind: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _iterate(x: np.ndarray, a: ArrayLike, c: ArrayLike, fold: Optional[Tuple], n: int) -> np.ndarray:
     """n winding-reduced steps _step(y, a, c, fold) from the float array x, cells stopped at their cycle.
 
     a, c and each column of fold (as maps._step_args binds a lift) are a
     scalar or an array of x's length.  The integer winding is kept apart, so
-    the sin sees a reduced argument; wind is a winding already run, added
-    into the zero winding as a step adds its own (_level_grid passes its
-    first step's).  _scalar_iterate is the float twin.
+    the sin sees a reduced argument.  _scalar_iterate is the float twin.
 
     A cell stops once its float orbit repeats (Brent's cycle check): y and
     the wind are kept at steps 1, 2, 4, ..., marks all cells share, and a
@@ -140,13 +134,11 @@ def _iterate(
     n <= 64 steps never compacts, so it never reaches this tail.
     """
     y = np.array(x, dtype=float)
-    seed, wind = wind, np.zeros_like(y)
-    if seed is not None:
-        wind += seed
+    wind = np.zeros_like(y)
     if not y.size:
         return y
     cells = [a, c, *(() if fold is None else fold)]  # the arrays among them are compacted with y
-    check = n > 64 and np.max(np.abs(y), initial=0.0) + np.max(np.abs(wind), initial=0.0) + (
+    check = n > 64 and np.max(np.abs(y), initial=0.0) + (
         np.max(np.abs(a), initial=0.0) + np.max(c, initial=0.0) + 3.0
     ) * n < _EXACT
     out, stop, nxt = None, n + 1, 1
@@ -301,8 +293,8 @@ def snap_rational(value: float, tol: float, q_max: int) -> Optional[Rational]:
 def _closure(lift: Union[MonotoneLift, Params], r: Rational, s: int = 1) -> Callable:
     """s*G at a float x for s = +-1, with f^q by the fused kernel _scalar_iterate(lift)."""
     it, q, p_num = _scalar_iterate(lift), r.denominator, r.numerator
-    # No sign change for s = 1: a multiply per golden-section probe once cost
-    # 2 % on the trace benchmark.
+    # No sign change for s = 1: a multiply per golden-section probe cost 1.2-1.7 %
+    # of the trace benchmark's items/s (9 of 10 pairs in each of two sets).
     if s == 1:
         return lambda x: it(x, q) - x - p_num
     return lambda x: -(it(x, q) - x - p_num)
@@ -336,42 +328,19 @@ def _dips(
         yield xm, f(xm)
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_sin(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The grid arange(n)/n and sin(2 pi grid), both read-only; the last 8 n are kept.
-
-    The orbit scan of a label p/q runs 4096 q points, about 1 MB of tables
-    for q <= 5.
-    """
-    grid = np.arange(n, dtype=float) / n
-    sin = np.sin(TWO_PI * grid)
-    grid.flags.writeable = sin.flags.writeable = False
-    return grid, sin
-
-
 def _level_grid(
     lift: Union[MonotoneLift, Params], r: Rational, q_max: int, density: int = 8
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The grid arange(n)/n, n = max(64, density*q), and G(x) = f^q(x) - x - p of r = p/q on it.
 
-    f is the lift, a MonotoneLift or a raw Params one, and G runs through the
-    array _iterate.  A lift without a fold (a raw one, or a MonotoneLift for
-    b <= 1) takes its first step from the cached sine of the grid
-    (_grid_sin), the float operations of maps._step, and its winding seeds
-    _iterate's, so the bits are the plain q steps'.  The default density is
-    level_sign's and level_gap's; the orbit scan passes its own.
+    f is the lift, a MonotoneLift or a raw Params one, and its q steps run
+    through the array _iterate.  The default density is level_sign's and
+    level_gap's; the orbit scan passes its own.
     """
-    q = r.denominator
     _check_q(r, q_max)
-    n_grid = max(64, density * q)
-    a, c, fold = _step_args(lift)
-    if fold is None:
-        grid, sin = _grid_sin(n_grid)
-        y = grid + a + c * sin
-        k = np.floor(y)
-        return grid, _iterate(y - k, a, c, None, q - 1, k) - grid - r.numerator
+    n_grid = max(64, density * r.denominator)
     grid = np.arange(n_grid, dtype=float) / n_grid
-    return grid, _iterate(grid, a, c, fold, q) - grid - r.numerator
+    return grid, _iterate(grid, *_step_args(lift), r.denominator) - grid - r.numerator
 
 
 def _check_q(r: Rational, q_max: int) -> None:
@@ -582,7 +551,8 @@ def rotation_interval(
             raise ValueError(f"tol={tol!r} is too small: 2 / tol iterations exceed {_N_ITER_MAX}")
         n_iter = max(1, math.ceil(2.0 / tol))
     lo = rho_monotone(envelope(p, MINUS), n_iter=n_iter, x0=x0, q_max=q_max)
-    hi = rho_monotone(envelope(p, PLUS), n_iter=n_iter, x0=x0, q_max=q_max)
+    # For b <= 1 both envelopes are the lift itself, so one estimate is both ends.
+    hi = lo if p.b <= 1.0 else rho_monotone(envelope(p, PLUS), n_iter=n_iter, x0=x0, q_max=q_max)
     return RotationInterval(lo=lo, hi=hi)
 
 

@@ -69,6 +69,23 @@ def test_eval_array_matches_scalar():
                 assert f(x) == got  # numpy float64 scalar input
 
 
+def test_numpy_sin_and_cos_round_like_math(rng):
+    # The level grids arange(n)/n of the certificate (n = 64) and the orbit
+    # scan (4096 q, q <= 5), and seeded uniform points in [0, 1).
+    grids = [np.arange(n, dtype=float) / n for n in (64, *(4096 * q for q in range(1, 6)))]
+    for y in (*grids, rng.uniform(0.0, 1.0, 10**5)):
+        arg = TWO_PI * y
+        for vec, scalar in ((np.sin, math.sin), (np.cos, math.cos)):
+            got = [v.hex() for v in vec(arg).tolist()]
+            want = [scalar(v).hex() for v in arg.tolist()]
+            bad = next((k for k, (g, w) in enumerate(zip(got, want)) if g != w), None)
+            assert bad is None, (
+                f"numpy's {scalar.__name__} does not round like math's at y = {float(y[bad])!r} "
+                f"({got[bad]} against {want[bad]}): maps.eval_lift, the scalar tail of rotation._iterate, "
+                "the orbit scan's first step and the raster's bytes across worker counts all assume it does"
+            )
+
+
 def test_eval_scalar_nonfinite_matches_array():
     p = Params(0.1, 2.0)
     xs = np.array([np.inf, -np.inf, np.nan])

@@ -25,7 +25,7 @@ from arnoldtongues import (
     rotation_interval,
     snap_rational,
 )
-from arnoldtongues import rotation
+from arnoldtongues import orbits, rotation
 from arnoldtongues.maps import _step_args
 from arnoldtongues.rotation import TOLZ, _cyclic_minima, _iterate, _scalar_iterate, level_gap
 from arnoldtongues.solvers import bisect, golden_min
@@ -158,6 +158,23 @@ def test_interval_below_critical_coupling_is_a_point():
     ri = rotation_interval(Params(0.3, 0.5))
     assert ri.lo.value == ri.hi.value
     assert ri.width == 0.0
+
+
+def test_interval_runs_one_envelope_below_critical_coupling(monkeypatch):
+    # For b <= 1 both envelopes are the lift itself, so one estimate is both ends.
+    calls, rho = [], rotation.rho_monotone
+
+    def counting(m, **kw):
+        calls.append(m)
+        return rho(m, **kw)
+
+    monkeypatch.setattr(rotation, "rho_monotone", counting)
+    for b, n in ((0.5, 1), (1.0, 1), (1.5, 2)):
+        calls.clear()
+        ri = rotation_interval(Params(0.1, b))
+        assert len(calls) == n, b
+        if n == 1:
+            assert ri.hi is ri.lo
 
 
 def test_interval_symmetric_about_zero():
@@ -809,20 +826,28 @@ def test_certificate_examples_take_the_fallback(monkeypatch):
     assert len(calls) == 3
 
 
-def test_level_grid_first_step_from_the_sine_table(monkeypatch, rng):
-    # Without a fold, step 1 of the level grid reads the cached sine, and the
-    # bits are the plain q steps' (seeded winding, q > 65 runs the cycle check).
+def test_level_grid_is_the_plain_q_steps(monkeypatch, rng):
+    # G on the level grid equals q plain steps of the lift at every grid point:
+    # a raw lift at the orbit scan's density, and envelopes for b <= 1 and
+    # b > 1.  q > 64 runs the array kernel's cycle check; a shorter grid runs
+    # q array steps per point.
     count = counting_step(monkeypatch)
-    for _ in range(40):
-        a, b, q = float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.0, 4.0)), int(rng.choice([1, 2, 3, 5, 8, 66, 71]))
-        r = Fraction(int(rng.integers(-2, 3 * q)), q)
-        q = r.denominator
-        for lift, density in ((Params(a, b), 4096 if q <= 8 else 8), (envelope(Params(a, min(b, 1.0)), PLUS), 8)):
+    for q in (1, 2, 3, 5, 8, 66, 71):
+        a, b = float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.0, 4.0))
+        p_num = int(rng.integers(-2, 3 * q))
+        while math.gcd(p_num, q) != 1:
+            p_num += 1
+        r = Fraction(p_num, q)
+        lifts = (
+            (Params(a, b), orbits.SCAN_DENSITY if q <= 8 else 8),
+            (envelope(Params(a, min(b, 1.0)), PLUS), 8),
+            (envelope(Params(a, 1.0 + b), MINUS), 8),
+        )
+        for lift, density in lifts:
             count[0] = 0
             grid, g = rotation._level_grid(lift, r, 128, density)
-            if q <= 65:
-                assert count[0] == len(grid) * (q - 1)
-            plain = _iterate(np.arange(len(grid), dtype=float) / len(grid), *_step_args(lift), q)
-            assert [v.hex() for v in g.tolist()] == [v.hex() for v in (plain - grid - r.numerator).tolist()]
-    grid, sin = rotation._grid_sin(4096)
-    assert not (grid.flags.writeable or sin.flags.writeable)
+            assert len(grid) == max(64, density * q)
+            if q <= 64:
+                assert count[0] == len(grid) * q
+            want = [(iterate_reference(lift, x, q) - x - p_num).hex() for x in grid.tolist()]
+            assert [v.hex() for v in g.tolist()] == want, (lift, r)

@@ -177,6 +177,20 @@ def test_raster_reads_the_envelope_plateau_geometry():
             assert math.isclose(value[n + j] + a, up.plateau_value, rel_tol=0.0, abs_tol=4e-15)
 
 
+@pytest.mark.xfail(
+    strict=True, reason="a b > 1 row is flat at F_0(x*) + a, one ulp from the envelope's plateau value F_a(x*) here"
+)
+def test_raster_cells_step_their_own_envelope():
+    # Cell (17, 0) of the 48x48 raster over [0, 1] x [0, 3], alone: a = 1/96,
+    # b = 1.09375.  Each endpoint should be rho_monotone's on the envelope of
+    # the cell's own Params, the lift --certify certifies.
+    g = raster(0.0, 1.0 / 48, 1.0625, 1.125, 1, 1)
+    p = Params(float(g.avec[0]), float(g.bvec[0]))
+    for got, which in ((g.rho_minus, MINUS), (g.rho_plus, PLUS)):
+        want = rho_monotone(envelope(p, which), n_iter=sweep.RASTER_N_ITER, q_max=0).value
+        assert float(got[0, 0]).hex() == want.hex(), (p, which)
+
+
 def _reference_rho(a, b, which, n_iter):
     """One cell's estimate iterated in plain math, in the raster's operation order."""
     coef = b / TWO_PI
