@@ -439,20 +439,26 @@ def _g_bounds(m: MonotoneLift, r: Rational) -> Callable[[float, int], float]:
     return bound
 
 
+def _g_straddles(bound: Callable[[float, int], float], x_pos: float, x_neg: float) -> bool:
+    """Whether the enclosures bound (from _g_bounds) prove G(x_pos) > 0 > G(x_neg), so G has a zero."""
+    return bound(x_pos, -1) > 0.0 and bound(x_neg, 1) < 0.0
+
+
 def _cycle_rho(m: MonotoneLift, lam: int, w: float, y: float) -> Optional[Rational]:
     """The rotation number of m, W/lam, proved from a float cycle of period lam and winding W through y; or None.
 
     For a nondecreasing lift, rho = p/q exactly when G = M^q - x - p has a
     zero.  An attracting cycle of r = W/lam (reduced) puts a falling zero of
     G next to its points, so G(y - d) > 0 > G(y + d), enclosed by
-    _g_bounds, proves rho = r by the intermediate value theorem, for the
-    first d of 1e-12, 1e-9 and 1e-6 where the enclosures separate.  None
-    decides nothing: no separation, as at a neutral or parabolic cycle.
+    _g_bounds, proves rho = r by the intermediate value theorem
+    (_g_straddles), for the first d of 1e-12, 1e-9 and 1e-6 where the
+    enclosures separate.  None decides nothing: no separation, as at a
+    neutral or parabolic cycle.
     """
     r = Fraction(int(w), lam)
     bound = _g_bounds(m, r)
     for d in (1e-12, 1e-9, 1e-6):
-        if bound(y - d, -1) > 0.0 and bound(y + d, 1) < 0.0:
+        if _g_straddles(bound, y - d, y + d):
             return r
     return None
 

@@ -20,9 +20,13 @@ The bisection is decided from a gap: a function of a that rises with
 slope at least 1 and whose zero is the edge, so each evaluation at a
 brackets the edge between a and a - gap.  A few secant-seeded evaluations
 narrow the bracket below tol; the bisection midpoints outside it need no
-computation.  Both ends of the final bracket are certified with
-level_sign; if either fails, the loop runs again on the next gap of a
-cascade, and if all fail the window held no edge (BadWindowError).  Every
+computation.  Both ends of the final bracket are certified: the end inside
+the plateau by a proof that G = M^q - x - p has a zero, from outward-
+rounded bounds of G of opposite signs beside the saddle-node root or the
+float cycle, and with level_sign only where that proof fails; the end
+outside with level_sign.  If either end fails, the loop runs again on the
+next gap of a cascade, and if all fail the window held no edge
+(BadWindowError).  Every
 edge tries the extremal level gap phi (rotation.level_gap), whose sign is
 the certificate's decision, and then the sign gap (+-inf by level_sign),
 which is plain level_sign bisection.  For b > 1 the B side of a plateau
@@ -32,9 +36,12 @@ B-curve the critical value lands on that orbit.  On an A-type edge (Al,
 Ar, and every edge for b <= 1) trace_curve carries the previous sample's
 saddle-node root (x*, a*), where G and G_x vanish for the raw lift: on an
 A-curve the distinguished orbit is parabolic.  Newton from it
-(orbits._saddle_node) at the next b gives a candidate a*, and the gap
-a - a* runs ahead of the cascade.  While level_sign is monotone in a, the
-edges are bit for bit those of plain bisection, whichever pass decides.
+(orbits._saddle_node) at the next b gives a candidate root, the gap
+a - a* runs ahead of the cascade, and x* proves the inside ends.  While
+level_sign is monotone in a and agrees with the proofs, the edges are bit
+for bit those of plain bisection, whichever pass decides; where
+level_sign misses the kink minimum of G at a flat piece's end and answers
++-1 inside the plateau, the proof keeps the bracket that holds the edge.
 """
 
 from __future__ import annotations
@@ -51,7 +58,8 @@ from .errors import (
 )
 from .maps import MINUS, PLUS, TWO_PI, MonotoneLift, Params, critical_points, envelope, eval_lift
 from .orbits import PeriodicOrbit, _saddle_node, orbit_pair
-from .rotation import Q_MAX_DEFAULT, Rational, _closure, _cyclic_minima, _level_grid, level_gap, level_sign
+from .rotation import Q_MAX_DEFAULT, Rational, _closure, _cyclic_minima, _cycle_rho, _g_bounds, _g_straddles
+from .rotation import _level_grid, _scalar_iterate, level_gap, level_sign
 from .solvers import bisect
 
 KIND_AL = "Al"
@@ -245,6 +253,27 @@ def _gap_bisect(
     return bisect(above_cut, a_window[0], a_window[1], -1.0, tol)
 
 
+def _proves_plateau(m: MonotoneLift, r: Rational, s: int, root: Optional[Tuple[float, float]]) -> bool:
+    """Whether rho(m) = r is proved: outward-rounded bounds of G = M^q - x - p change sign.
+
+    G has a zero exactly when rho = r (M nondecreasing), and two points
+    where the bounds (_g_bounds) have opposite signs prove one
+    (_g_straddles).  With a saddle-node root (x*, a*) of the edge, the
+    points are x* and x* + 1/2, then 1/4, then 3/4: inside a plateau next to
+    its left edge (s = -1) G(x*) > 0, next to its right edge (s = 1)
+    G(x*) < 0, and G has the other sign away from the parabolic orbit.
+    Without a root, m runs 4q + 64 scalar steps from 0 and the float cycle
+    they find must prove rho = r (_cycle_rho).  A wrong root or cycle
+    proves nothing.
+    """
+    if root is not None:
+        bound, x = _g_bounds(m, r), root[0]
+        return any(_g_straddles(bound, *((x + d, x) if s > 0 else (x, x + d))) for d in (0.5, 0.25, 0.75))
+    cycle: list = []
+    _scalar_iterate(m)(0.0, 4 * r.denominator + 64, cycle=cycle)
+    return bool(cycle) and _cycle_rho(m, *cycle) == r
+
+
 def _locate_edges(
     b: float,
     r: Rational,
@@ -253,7 +282,7 @@ def _locate_edges(
     a_window: Tuple[float, float],
     tol: float,
     q_max: int,
-    candidate: Optional[float] = None,
+    candidate: Optional[Tuple[float, float]] = None,
 ) -> List[Tuple[float, float]]:
     """Bisect the named edges ("left", "right") of one plateau of r at this b.
 
@@ -263,11 +292,16 @@ def _locate_edges(
     probed twice.
 
     Each edge runs _gap_bisect on a cascade of gaps and keeps the first
-    final bracket whose ends s certifies, s(lo) <= c < s(hi), which also
-    proves the window held the edge; else BadWindowError, whose message
-    alone probes the window ends.  The cascade:
-      - a - candidate, only when a candidate edge is given (trace_curve's
-        saddle-node root on an A-type edge).  A wrong candidate only costs
+    final bracket whose ends certify s(lo) <= c < s(hi), which also proves
+    the window held the edge; else BadWindowError, whose message alone
+    probes the window ends.  The end inside the plateau (hi of a left edge,
+    lo of a right one) is proved first (_proves_plateau, from candidate's
+    x* or else from the float cycle), and s decides it only where that
+    proof fails; s always decides the outside end.  Proofs are not
+    memoised in s, so the sign gap stays plain level_sign bisection.  The
+    cascade:
+      - a - a*, only when a candidate saddle-node root (x*, a*) is given
+        (trace_curve's, on an A-type edge).  A wrong candidate only costs
         the pass: the certificate rejects it;
       - h, the plateau return G(e) = M^(q-1)(v) - e - p, only on the B side
         for b > 1: the plus plateau's right edge (e = plateau_end) and the
@@ -294,7 +328,7 @@ def _locate_edges(
         return _closure(m, r)(m.plateau_end if which == PLUS else m.plateau_start)
 
     def saddle_node(a: float) -> float:
-        return a - candidate
+        return a - candidate[1]
 
     b_cut = 0 if which == PLUS else -1  # the B side: Bl, the plus right edge; Br, the minus left
     edges = []
@@ -313,9 +347,13 @@ def _locate_edges(
             gaps = (saddle_node, *gaps)
         for decide in gaps:
             lo, hi = _gap_bisect(decide, a_window, tol)
-            # A failed pass fails at hi on the plus side (h's zero is at or left of Bl) and at lo
-            # on the minus side (right of Br), so that end is probed first.
-            if (c < sgn(hi) and sgn(lo) <= c) if which == PLUS else (sgn(lo) <= c < sgn(hi)):
+            if _proves_plateau(lift(hi if c < 0 else lo), r, s, candidate):
+                held = sgn(lo) <= c if c < 0 else c < sgn(hi)
+            else:
+                # A failed pass fails at hi on the plus side (h's zero is at or left of Bl) and at
+                # lo on the minus side (right of Br), so that end is probed first.
+                held = (c < sgn(hi) and sgn(lo) <= c) if which == PLUS else (sgn(lo) <= c < sgn(hi))
+            if held:
                 break
         else:
             target = f"{sides[0]} edge of the " if len(sides) == 1 else ""
@@ -403,12 +441,15 @@ def trace_curve(
 
     On an A-type edge (Al or Ar, or any kind at b <= 1) the saddle-node
     root (x*, a*) of the previous sample is a Newton warm start
-    (_saddle_node) at the next b, and a converged a* inside the cone is the
-    candidate of _locate_edges' first pass.  After each sample the root is
-    kept when the located edge's final bracket holds its a* (its pass
-    certified), else restarted from the dips at that edge (_saddle_at_edge).
-    The state lives in this call alone, and since the certificate decides,
-    the samples are those without it, bit for bit.
+    (_saddle_node) at the next b, and a converged root whose a* lies inside
+    the cone is the candidate of _locate_edges: a* seeds its first pass and
+    x* proves the inside end of each final bracket.  After each sample the
+    root is kept when the located edge's final bracket holds its a* (its
+    pass certified), else restarted from the dips at that edge
+    (_saddle_at_edge).  The state lives in this call alone, and since the
+    certificate decides and a proof holds only where rho = r, the samples
+    are those without it, bit for bit, wherever level_sign agrees with the
+    proofs.
     """
     if kind not in KIND_TO_EDGE:
         raise ValueError(f"unknown curve kind {kind!r}")
@@ -431,7 +472,7 @@ def trace_curve(
                 root = None
         try:
             ((a, width),) = _locate_edges(
-                b, r, which, (side,), window, tol, q_max, None if root is None else root[1]
+                b, r, which, (side,), window, tol, q_max, root
             )
         except BadWindowError as exc:
             raise ContinuationLostError(

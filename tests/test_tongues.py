@@ -4,8 +4,11 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arnoldtongues import (
     BadWindowError,
@@ -27,7 +30,7 @@ from arnoldtongues import deriv, envelope, level_sign, tongues
 from arnoldtongues.rotation import _closure, level_gap
 from arnoldtongues.tongues import _locate_edges, default_window
 
-from helpers import locate_edge, reduced_reference
+from helpers import locate_edge, reduced_reference, true_b_edge
 from oracle_values import B_SPLIT, B_TIP, BL0, HALFWIDTH_B05, HALFWIDTH_B2
 
 TWO_PI = 2.0 * math.pi
@@ -123,6 +126,61 @@ def test_trace_lower_edge_closed_form():
     assert lipschitz_check(c).ok
 
 
+def _closed_form_b_edge(kind, n, b, mp):
+    """Bl or Br of n/1 past the B-switch, to 40 digits.
+
+    The flat piece of the plus envelope runs from the local maximum x_c to
+    t_e past the local minimum, F_0(t_e) = F_0(x_c), and Bl is where its
+    value F_a(x_c) lands on t_e + n: a = t_e + n - F_0(x_c).  Br is its
+    mirror under F_{-a}(x) = -F_a(-x): a = n + F_0(x_c) - t_e.
+    """
+    with mp.workdps(40):
+        b, two_pi = mp.mpf(b), 2 * mp.pi
+
+        def f0(t):
+            return t + b / two_pi * mp.sin(two_pi * t)
+
+        x_c = mp.acos(-1 / b) / two_pi
+        t_e = mp.findroot(lambda t: f0(t) - f0(x_c), (1 - x_c, 1 + x_c), solver="anderson")
+        return t_e + n - f0(x_c) if kind == "Bl" else n + f0(x_c) - t_e
+
+
+def test_traced_b_edges_hold_the_closed_form_edge():
+    # Every sample of Bl and Br on 0/1 and 1/1 over b in [1.5, 4], at steps
+    # 0.05 and 0.01 (1208 samples), brackets the closed-form edge: its a is
+    # within half its residual of it.  At 20 of them level_sign misses the
+    # kink minimum of G at the flat piece's end and answers -1 or +1 at the
+    # inside end of the bracket that holds the edge (rho = r there); the float
+    # cycle proves that end, where level_sign alone would reject the bracket
+    # and a later pass would put Bl 0/1 at b = 2.65 4.9e-9 below the edge.
+    mp = pytest.importorskip("mpmath").mp
+    checked = 0
+    for kind in ("Bl", "Br"):
+        for n in (0, 1):
+            for step in (0.05, 0.01):
+                for b, a, residual in trace_curve(kind, Fraction(n), (1.5, 4.0), step).samples:
+                    edge = _closed_form_b_edge(kind, n, b, mp)
+                    assert abs(mp.mpf(a) - edge) <= mp.mpf(residual) / 2, (kind, n, b, float(mp.mpf(a) - edge))
+                    checked += 1
+    assert checked == 1208
+
+
+def test_plateau_edges_hold_the_b_edges_of_one_third():
+    # At b = 2 the minus left and the plus right edge of 1/3 are B edges, the
+    # zeros of h(a) = G(e) at the flat piece's exit end e.  plateau_edges at
+    # tol 1e-12 puts each within tol of h's mpmath root; level_sign alone
+    # rejects the brackets that hold them (the kink miss), and a later pass
+    # puts them 3.85e-11 and 5.43e-12 off.
+    mp = pytest.importorskip("mpmath").mp
+    r, tol = Fraction(1, 3), 1e-12
+    left, _ = plateau_edges(2.0, r, MINUS, tol=tol)
+    _, right = plateau_edges(2.0, r, PLUS, tol=tol)
+    for edge, which, root in ((left, MINUS, "0.40950918614794469348"), (right, PLUS, "0.34453692737219720053")):
+        true = true_b_edge(2.0, r, which, edge, mp)
+        assert mp.nstr(true, 20) == root, which
+        assert abs(mp.mpf(edge) - true) <= tol, (which, float(mp.mpf(edge) - true))
+
+
 def test_upper_edge_below_critical_coupling():
     assert locate_edge("Bl", ZERO, 0.5) == pytest.approx(HALFWIDTH_B05, abs=2e-8)
 
@@ -149,16 +207,18 @@ def test_continuation_error_carries_location():
 
 
 def test_trace_turns_a_lost_bracket_into_continuation_lost(monkeypatch):
-    # From the third sample's b on, the level sign reads -1 everywhere: the
-    # plateau is gone, the cone around the previous edge holds no edge, and
-    # the edge search's BadWindowError becomes the cause.
+    # From the third sample's b on, the level sign reads -1 everywhere and
+    # no inside end is proved: the plateau is gone, the cone around the
+    # previous edge holds no edge, and the edge search's BadWindowError
+    # becomes the cause.
     b_lost = 1.0 + 2 * 0.1
-    sign = tongues.level_sign
+    sign, proves = tongues.level_sign, tongues._proves_plateau
 
     def vanishing(m, r, q_max=64):
         return -1 if m.base.b >= b_lost else sign(m, r, q_max=q_max)
 
     monkeypatch.setattr(tongues, "level_sign", vanishing)
+    monkeypatch.setattr(tongues, "_proves_plateau", lambda m, *args: m.base.b < b_lost and proves(m, *args))
     with pytest.raises(ContinuationLostError) as exc:
         trace_curve("Al", ZERO, (1.0, 1.5), step=0.1)
     assert exc.value.b == b_lost
@@ -628,7 +688,7 @@ SADDLE_TRACES = [
 
 
 def _recording_edge_searches(monkeypatch):
-    """Patch _locate_edges to append (b, candidate, edges, gap names run) per call to the returned list."""
+    """Patch _locate_edges to append (b, candidate root (x*, a*) or None, edges, gap names run) per call to the returned list."""
     passes = _recording_gap_bisect(monkeypatch)
     locate = tongues._locate_edges
     searches = []
@@ -675,7 +735,7 @@ def test_a_wrong_saddle_candidate_is_rejected_by_the_end_certificate(monkeypatch
         assert root is not None, (b, r, kind)
         for shift, ran in ((0.0, ("saddle_node",)), (1e-6, ("saddle_node", "gap")), (-1e-6, ("saddle_node", "gap"))):
             passes.clear()
-            got = _locate_edges(b, r, which, (side,), window, 1e-8, 64, root[1] + shift)
+            got = _locate_edges(b, r, which, (side,), window, 1e-8, 64, (root[0], root[1] + shift))
             assert got == plain, (b, r, kind, shift)
             assert tuple(passes) == ran, (b, r, kind, shift)
 
@@ -688,16 +748,6 @@ def test_certified_saddle_roots_are_parabolic_orbits(monkeypatch):
     # b = 1.8 the golden-section minimum of |G| alone, which places a double
     # root only to about sqrt(1e-16 / G_xx), read the multiplier up to 1.2e-6
     # off, and the scan now moves each dip root to the zero of G_x.
-    roots = {}
-    newton = tongues._saddle_node
-
-    def recording(b, r, x, a):
-        root = newton(b, r, x, a)
-        if root is not None:
-            roots[(b, root[1])] = root[0]
-        return root
-
-    monkeypatch.setattr(tongues, "_saddle_node", recording)
     searches = _recording_edge_searches(monkeypatch)
     checked = 0
     for kind, r, b_range, step in (
@@ -712,10 +762,10 @@ def test_certified_saddle_roots_are_parabolic_orbits(monkeypatch):
         cut = -1 if side == "left" else 0
         searches.clear()
         trace_curve(kind, r, b_range, step)
-        for b, a_star, _, passes in searches:
+        for b, root, _, passes in searches:
             if passes[-1:] != ("saddle_node",):
                 continue
-            x_star = roots[(b, a_star)]
+            x_star, a_star = root
             p = Params(a_star, b)
             assert abs(_closure(p, r)(x_star)) < 1e-9, (kind, r, b)
             # (F^q)' - 1 as a plain product of deriv along the reduced iterates, not the jet's loop.
@@ -732,9 +782,111 @@ def test_a_failed_trace_leaves_no_warm_start_behind(monkeypatch):
     # The saddle-node root lives in one trace_curve call: a trace that loses
     # its bracket does not change the samples of the next one.
     fresh = trace_curve("Al", Fraction(1, 3), (1.0, 1.6), step=0.1)
-    sign = tongues.level_sign
+    sign, proves = tongues.level_sign, tongues._proves_plateau
     with monkeypatch.context() as lost:
         lost.setattr(tongues, "level_sign", lambda m, r, q_max=64: -1 if m.base.b >= 1.2 else sign(m, r, q_max=q_max))
+        lost.setattr(tongues, "_proves_plateau", lambda m, *args: m.base.b < 1.2 and proves(m, *args))
         with pytest.raises(ContinuationLostError):
             trace_curve("Al", Fraction(1, 3), (1.0, 1.6), step=0.1)
     assert trace_curve("Al", Fraction(1, 3), (1.0, 1.6), step=0.1) == fresh
+
+
+def _recording_ends(monkeypatch):
+    """Patch level_sign and _proves_plateau in tongues to record their calls.
+
+    Returns (probed, proofs): the a of each level_sign call, and (a, held)
+    for each proof of an inside end.
+    """
+    probed, proofs = [], []
+    sign, proves = tongues.level_sign, tongues._proves_plateau
+
+    def recording_sign(m, r, q_max=64):
+        probed.append(m.base.a)
+        return sign(m, r, q_max=q_max)
+
+    def recording_proof(m, *args):
+        held = proves(m, *args)
+        proofs.append((m.base.a, held))
+        return held
+
+    monkeypatch.setattr(tongues, "level_sign", recording_sign)
+    monkeypatch.setattr(tongues, "_proves_plateau", recording_proof)
+    return probed, proofs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind_b=st.one_of(
+        st.tuples(st.sampled_from(("Al", "Ar")), st.floats(1.05, 3.4)),
+        st.tuples(st.sampled_from(("Al", "Ar", "Bl", "Br")), st.floats(0.1, 0.88)),
+    ),
+    r=st.sampled_from(SADDLE_LABELS),
+    step=st.floats(0.01, 0.05),
+)
+def test_proved_inside_ends_are_on_the_plateau_property(kind_b, r, step):
+    # On A-type edges (Al and Ar, and every edge at b <= 1) each inside end
+    # that is proved, from the saddle root on the warm samples or from the
+    # float cycle on the first, is one where level_sign returns 0.
+    kind, b_lo = kind_b
+    proves, proved = tongues._proves_plateau, []
+
+    def recording(m, r, s, root):
+        held = proves(m, r, s, root)
+        if held:
+            proved.append(m)
+        return held
+
+    with mock.patch.object(tongues, "_proves_plateau", recording):
+        trace_curve(kind, r, (b_lo, b_lo + 2 * step), step)
+    for m in proved:
+        assert level_sign(m, r) == 0, (kind, r, m)
+
+
+def test_a_wrong_root_proves_nothing_and_level_sign_decides(monkeypatch):
+    # Al 1/3 and Ar 1/2 at b = 2: the saddle root proves the inside end, and
+    # level_sign runs only at the outside one.  The x* of another label's
+    # root, or a* moved 1e-6 outside the plateau (where G has no zero),
+    # proves nothing: level_sign decides the inside end too, and the edge is
+    # that of plain bisection.
+    b, roots = 2.0, {}
+    for kind, r in (("Al", Fraction(1, 3)), ("Ar", HALF)):
+        which, side = tongues.KIND_TO_EDGE[kind]
+        window = default_window(b, r)
+        (plain,) = _plain_sign_bisection(b, r, which, (side,), window, 1e-8)
+        roots[kind] = (r, which, side, window, plain, tongues._saddle_at_edge(b, r, which, side, plain[0], 64))
+    probed, proofs = _recording_ends(monkeypatch)
+    for kind, other in (("Al", "Ar"), ("Ar", "Al")):
+        r, which, side, window, plain, (x_star, a_star) = roots[kind]
+        s = -1 if side == "left" else 1
+        wrong_x = roots[other][5][0]
+        for root, held in (((x_star, a_star), True), ((wrong_x, a_star), False)):
+            probed.clear()
+            proofs.clear()
+            assert _locate_edges(b, r, which, (side,), window, 1e-8, 64, root) == [plain], (kind, root)
+            ((inside, proof),) = proofs
+            assert proof == held and (inside in probed) != held and len(probed) == 2 - held, (kind, root)
+        moved = a_star + s * 1e-6
+        assert not tongues._proves_plateau(envelope(Params(moved, b), which), r, s, (x_star, moved))
+
+
+def test_a_cycle_of_another_rotation_number_proves_nothing(monkeypatch):
+    # The plus envelope at (0.28, 2) is locked at 1/4: its float cycle proves
+    # 1/4 and nothing about 1/3.  At the B edges of 1/3 at b = 2 (Br and Bl)
+    # the float cycle proves the inside ends; a _cycle_rho that proves a wrong
+    # rational proves neither, level_sign decides every end, and the edges
+    # stay those of plain bisection.
+    m = envelope(Params(0.28, 2.0), PLUS)
+    assert tongues._proves_plateau(m, Fraction(1, 4), 1, None)
+    assert not tongues._proves_plateau(m, Fraction(1, 3), 1, None)
+    probed, proofs = _recording_ends(monkeypatch)
+    r, window = Fraction(1, 3), default_window(2.0, Fraction(1, 3))
+    for wrong in (False, True):
+        if wrong:
+            monkeypatch.setattr(tongues, "_cycle_rho", lambda m, lam, w, y: Fraction(int(w), lam) + 1)
+        for which, side in ((MINUS, "left"), (PLUS, "right")):
+            probed.clear()
+            proofs.clear()
+            got = _locate_edges(2.0, r, which, (side,), window, 1e-8, 64)
+            assert got == _plain_sign_bisection(2.0, r, which, (side,), window, 1e-8), (which, wrong)
+            ((inside, held),) = proofs
+            assert held != wrong and (inside in probed) == wrong, (which, wrong)
