@@ -191,6 +191,11 @@ class MonotoneLift:
             return self.plateau_start, -math.inf, self.plateau_end
         return self.plateau_end - 1.0, self.plateau_start, math.inf
 
+    @property
+    def _flat_point(self) -> float:
+        """x*, where F_a takes the flat value: plateau_start (plus), plateau_end (minus); b > 1 only."""
+        return self.plateau_start if self.which == PLUS else self.plateau_end
+
     def eval(self, x: ArrayLike) -> ArrayLike:
         """The monotone lift at x (scalar, array or sequence) by one _step; a scalar gives a float."""
         y = np.asarray(x, dtype=float)
@@ -242,6 +247,4 @@ def envelope(p: Params, which: str) -> MonotoneLift:
     # [1 - s, x_min]; s lies in (0.5, 1.5), so 1 - s is exact (Sterbenz).
     start, end = (x_max, s) if which == PLUS else (1.0 - s, 1.0 - x_max)
     value = eval_lift(p, start if which == PLUS else end)
-    return MonotoneLift(
-        base=p, which=which, plateau_start=start, plateau_end=end, plateau_value=value
-    )
+    return MonotoneLift(base=p, which=which, plateau_start=start, plateau_end=end, plateau_value=value)

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, 
 
 import numpy as np
 
-from .maps import MINUS, PLUS, TWO_PI, Params, _step_args, envelope
+from .maps import MINUS, PLUS, TWO_PI, Params, _step, envelope
 from .rotation import Rational, _check_n_iter, _iterate, rho_exact_rational_test
 from .tongues import BoundaryCurve, Region
 
@@ -90,15 +90,15 @@ def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def _plateau_rows(bvec: np.ndarray) -> np.ndarray:
-    """Fold (w, lo, hi) and plateau value of the a = 0 envelopes of b > 1 rows, as column vectors.
+    """Fold (w, lo, hi) and flat point x* of the envelopes of b > 1 rows, as column vectors.
 
     The lower envelope's row of each b, then the upper envelope's.  A row
     folds y into [w, w + 1) and is flat where lo <= t <= hi, as
-    maps._step_args binds it; its flat value at a is the plateau value
-    plus a, since the lift at a is the lift at 0 plus a.
+    maps._step_args binds it; its flat value at a is F_a(x*), one _step
+    from x*, in the operations of the envelope's plateau value.
     """
     ms = [envelope(Params(0.0, b), which) for which in (MINUS, PLUS) for b in bvec.tolist()]
-    return np.array([_step_args(m)[2] for m in ms]).reshape(-1, 4).T[:, :, None]
+    return np.array([(*m._fold, m._flat_point) for m in ms]).reshape(-1, 4).T[:, :, None]
 
 
 def _raster_block(args: Tuple[np.ndarray, np.ndarray, int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -119,11 +119,11 @@ def _raster_block(args: Tuple[np.ndarray, np.ndarray, int]) -> Tuple[np.ndarray,
 
     def rows(c: np.ndarray, fold: Optional[np.ndarray]) -> np.ndarray:
         # The estimates of stacked rows, c = b / 2 pi per row, folded as fold's columns if any.
-        a = np.tile(avec, len(c))
+        a, c_cells = np.tile(avec, len(c)), np.repeat(c, na)
         if fold is not None:
-            w, lo, hi, value = (np.broadcast_to(col, (len(c), na)).ravel() for col in fold)
-            fold = (w, lo, hi, value + a)
-        y = _iterate(np.zeros(len(a)), a, np.repeat(c, na), fold, n_iter)
+            w, lo, hi, x = (np.broadcast_to(col, (len(c), na)).ravel() for col in fold)
+            fold = (w, lo, hi, _step(x, a, c_cells))
+        y = _iterate(np.zeros(len(a)), a, c_cells, fold, n_iter)
         return y.reshape(len(c), na) / n_iter
 
     est = rows(np.concatenate([b, b]) / TWO_PI, _plateau_rows(b))

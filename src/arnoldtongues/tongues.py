@@ -18,30 +18,31 @@ value on B-curves).
 
 The bisection is decided from a gap: a function of a that rises with
 slope at least 1 and whose zero is the edge, so each evaluation at a
-brackets the edge between a and a - gap.  A few secant-seeded evaluations
-narrow the bracket below tol; the bisection midpoints outside it need no
-computation.  Both ends of the final bracket are certified: the end inside
-the plateau by a proof that G = M^q - x - p has a zero, from outward-
-rounded bounds of G of opposite signs beside the saddle-node root or the
-float cycle, and with level_sign only where that proof fails; the end
-outside with level_sign.  If either end fails, the loop runs again on the
-next gap of a cascade, and if all fail the window held no edge
-(BadWindowError).  Every
-edge tries the extremal level gap phi (rotation.level_gap), whose sign is
-the certificate's decision, and then the sign gap (+-inf by level_sign),
-which is plain level_sign bisection.  For b > 1 the B side of a plateau
-(Bl, Br) first tries the plateau return h = G(e), q scalar steps from the
-end e of the flat piece through which the plateau's orbit leaves: on a
-B-curve the critical value lands on that orbit.  On an A-type edge (Al,
-Ar, and every edge for b <= 1) trace_curve carries the previous sample's
-saddle-node root (x*, a*), where G and G_x vanish for the raw lift: on an
-A-curve the distinguished orbit is parabolic.  Newton from it
-(orbits._saddle_node) at the next b gives a candidate root, the gap
-a - a* runs ahead of the cascade, and x* proves the inside ends.  While
-level_sign is monotone in a and agrees with the proofs, the edges are bit
-for bit those of plain bisection, whichever pass decides; where
-level_sign misses the kink minimum of G at a flat piece's end and answers
-+-1 inside the plateau, the proof keeps the bracket that holds the edge.
+brackets the edge between a and a - gap.  A few secant-seeded
+evaluations narrow the bracket below tol; the bisection midpoints
+outside it need no computation.  Both ends of the final bracket are
+certified: the end outside the plateau first, by level_sign; the end
+inside by a proof that G = M^q - x - p has a zero, outward-rounded
+bounds of G of opposite signs at the point where G touches zero on the
+edge and beside it, or by level_sign where there is no point or the
+proof fails.  If either end fails, the loop runs again on the next gap
+of a cascade, and if all fail the window held no edge (BadWindowError).
+Every edge tries the extremal level gap phi (rotation.level_gap), whose
+sign is the certificate's decision, and then the sign gap (+-inf by
+level_sign), which is plain level_sign bisection.  For b > 1 the B side
+of a plateau (Bl, Br) first tries the plateau return h = G(e), q scalar
+steps from the end e of the flat piece through which the plateau's orbit
+leaves: on a B-curve the critical value lands on that orbit, and e is
+the B edge's proof point.  On an A-type edge (Al, Ar, and every edge for
+b <= 1) trace_curve carries the previous sample's saddle-node root (x*,
+a*), where G and G_x vanish for the raw lift: on an A-curve the
+distinguished orbit is parabolic.  Newton from it (orbits._saddle_node)
+at the next b gives a candidate root, the gap a - a* runs ahead of the
+cascade, and x* is the proof point.  While level_sign is monotone in a
+and agrees with the proofs, the edges are bit for bit those of plain
+bisection, whichever pass decides; where level_sign misses the kink
+minimum of G at a flat piece's end and answers +-1 inside the plateau,
+the proof keeps the bracket that holds the edge.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ from .errors import (
 )
 from .maps import MINUS, PLUS, TWO_PI, MonotoneLift, Params, critical_points, envelope, eval_lift
 from .orbits import PeriodicOrbit, _saddle_node, orbit_pair
-from .rotation import Q_MAX_DEFAULT, Rational, _closure, _cyclic_minima, _cycle_rho, _g_bounds, _g_straddles
-from .rotation import _level_grid, _scalar_iterate, level_gap, level_sign
+from .rotation import Q_MAX_DEFAULT, Rational, _closure, _cyclic_minima, _g_bounds, _g_straddles
+from .rotation import _level_grid, level_gap, level_sign
 from .solvers import bisect
 
 KIND_AL = "Al"
@@ -253,25 +254,19 @@ def _gap_bisect(
     return bisect(above_cut, a_window[0], a_window[1], -1.0, tol)
 
 
-def _proves_plateau(m: MonotoneLift, r: Rational, s: int, root: Optional[Tuple[float, float]]) -> bool:
-    """Whether rho(m) = r is proved: outward-rounded bounds of G = M^q - x - p change sign.
+def _proves_plateau(m: MonotoneLift, r: Rational, s: int, x: float) -> bool:
+    """Whether rho(m) = r is proved at x: outward-rounded bounds of G = M^q - x - p change sign.
 
     G has a zero exactly when rho = r (M nondecreasing), and two points
     where the bounds (_g_bounds) have opposite signs prove one
-    (_g_straddles).  With a saddle-node root (x*, a*) of the edge, the
-    points are x* and x* + 1/2, then 1/4, then 3/4: inside a plateau next to
-    its left edge (s = -1) G(x*) > 0, next to its right edge (s = 1)
-    G(x*) < 0, and G has the other sign away from the parabolic orbit.
-    Without a root, m runs 4q + 64 scalar steps from 0 and the float cycle
-    they find must prove rho = r (_cycle_rho).  A wrong root or cycle
-    proves nothing.
+    (_g_straddles).  x is where G touches zero on the edge: the saddle-node
+    x* on an A edge, the flat piece's exit end e on a B edge.  The points
+    are x and x + 1/2, then 1/4, then 3/4: inside a plateau next to its left
+    edge (s = -1) G(x) > 0, next to its right edge (s = 1) G(x) < 0, and G
+    has the other sign away from x.  A wrong point proves nothing.
     """
-    if root is not None:
-        bound, x = _g_bounds(m, r), root[0]
-        return any(_g_straddles(bound, *((x + d, x) if s > 0 else (x, x + d))) for d in (0.5, 0.25, 0.75))
-    cycle: list = []
-    _scalar_iterate(m)(0.0, 4 * r.denominator + 64, cycle=cycle)
-    return bool(cycle) and _cycle_rho(m, *cycle) == r
+    bound = _g_bounds(m, r)
+    return any(_g_straddles(bound, *((x + d, x) if s > 0 else (x, x + d))) for d in (0.5, 0.25, 0.75))
 
 
 def _locate_edges(
@@ -294,12 +289,12 @@ def _locate_edges(
     Each edge runs _gap_bisect on a cascade of gaps and keeps the first
     final bracket whose ends certify s(lo) <= c < s(hi), which also proves
     the window held the edge; else BadWindowError, whose message alone
-    probes the window ends.  The end inside the plateau (hi of a left edge,
-    lo of a right one) is proved first (_proves_plateau, from candidate's
-    x* or else from the float cycle), and s decides it only where that
-    proof fails; s always decides the outside end.  Proofs are not
-    memoised in s, so the sign gap stays plain level_sign bisection.  The
-    cascade:
+    probes the window ends.  s decides the outside end first, and the end
+    inside the plateau (hi of a left edge, lo of a right one) only where
+    _proves_plateau fails at the point where G touches zero on the edge
+    (candidate's x* on an A edge, e on the B side for b > 1) or there is
+    none.  Proofs are not memoised in s, so the sign gap stays plain
+    level_sign bisection.  The cascade:
       - a - a*, only when a candidate saddle-node root (x*, a*) is given
         (trace_curve's, on an A-type edge).  A wrong candidate only costs
         the pass: the certificate rejects it;
@@ -323,9 +318,11 @@ def _locate_edges(
             signs[a] = level_sign(lift(a), r, q_max=q_max)
         return signs[a]
 
+    m = lift(a_window[0])  # e, the flat piece's exit end for b > 1: G(e) = 0 at a B edge, and b alone places it
+    e = m.plateau_end if which == PLUS else m.plateau_start
+
     def plateau_return(a: float) -> float:
-        m = lift(a)
-        return _closure(m, r)(m.plateau_end if which == PLUS else m.plateau_start)
+        return _closure(lift(a), r)(e)
 
     def saddle_node(a: float) -> float:
         return a - candidate[1]
@@ -342,18 +339,17 @@ def _locate_edges(
             phi = level_gap(lift(a), r, s, q_max=q_max)
             return phi if phi == phi else sign_gap(a)
 
-        gaps = (plateau_return, gap, sign_gap) if c == b_cut and b > 1.0 else (gap, sign_gap)
+        b_side = c == b_cut and b > 1.0
+        gaps = (plateau_return, gap, sign_gap) if b_side else (gap, sign_gap)
+        point = e if b_side else None if candidate is None else candidate[0]
         if candidate is not None:
             gaps = (saddle_node, *gaps)
         for decide in gaps:
             lo, hi = _gap_bisect(decide, a_window, tol)
-            if _proves_plateau(lift(hi if c < 0 else lo), r, s, candidate):
-                held = sgn(lo) <= c if c < 0 else c < sgn(hi)
-            else:
-                # A failed pass fails at hi on the plus side (h's zero is at or left of Bl) and at
-                # lo on the minus side (right of Br), so that end is probed first.
-                held = (c < sgn(hi) and sgn(lo) <= c) if which == PLUS else (sgn(lo) <= c < sgn(hi))
-            if held:
+            # The outside end by s first, then the inside end: proved at the point, else by s.
+            if (sgn(lo) <= c if c < 0 else c < sgn(hi)) and (
+                point is not None and _proves_plateau(lift(hi if c < 0 else lo), r, s, point) or sgn(lo) <= c < sgn(hi)
+            ):
                 break
         else:
             target = f"{sides[0]} edge of the " if len(sides) == 1 else ""

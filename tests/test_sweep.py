@@ -158,32 +158,29 @@ def test_raster_block_rows_match_single_rows():
 def test_raster_reads_the_envelope_plateau_geometry():
     # The raster's windows and flat bounds and the envelopes' plateau ends
     # come from one per-b geometry, so they agree bit for bit at every a.
-    # The flat value is the lift at the extremum for a = 0, which plus a is
-    # the plateau value at a up to the order of the two additions.
+    # The flat point is the extremum x*, and the lift's value there at a,
+    # F_a(x*), is the envelope's plateau value at a.
     bs = [1.05, 2.0, 3.3, 8.18]
-    w, lo, hi, value = (v[:, 0].tolist() for v in _plateau_rows(np.array(bs)))
+    w, lo, hi, x = (v[:, 0].tolist() for v in _plateau_rows(np.array(bs)))
     n = len(bs)
     for j, b in enumerate(bs):
-        p0 = Params(0.0, b)
         for a in (-0.7, 0.0, 0.3, 1.9):
             down, up = envelope(Params(a, b), MINUS), envelope(Params(a, b), PLUS)
             assert (lo[j], hi[j]) == (down.plateau_start, math.inf)
             assert w[j] == down.plateau_end - 1.0
-            assert value[j] == eval_lift(p0, down.plateau_end)
-            assert math.isclose(value[j] + a, down.plateau_value, rel_tol=0.0, abs_tol=4e-15)
+            assert x[j] == down.plateau_end == down._flat_point
+            assert eval_lift(Params(a, b), x[j]) == down.plateau_value
             assert (lo[n + j], hi[n + j]) == (-math.inf, up.plateau_end)
             assert w[n + j] == up.plateau_start
-            assert value[n + j] == eval_lift(p0, up.plateau_start)
-            assert math.isclose(value[n + j] + a, up.plateau_value, rel_tol=0.0, abs_tol=4e-15)
+            assert x[n + j] == up.plateau_start == up._flat_point
+            assert eval_lift(Params(a, b), x[n + j]) == up.plateau_value
 
 
-@pytest.mark.xfail(
-    strict=True, reason="a b > 1 row is flat at F_0(x*) + a, one ulp from the envelope's plateau value F_a(x*) here"
-)
 def test_raster_cells_step_their_own_envelope():
     # Cell (17, 0) of the 48x48 raster over [0, 1] x [0, 3], alone: a = 1/96,
-    # b = 1.09375.  Each endpoint should be rho_monotone's on the envelope of
-    # the cell's own Params, the lift --certify certifies.
+    # b = 1.09375.  Each endpoint is rho_monotone's on the envelope of the
+    # cell's own Params, the lift --certify certifies.  Flat at F_0(x*) + a,
+    # one ulp from the plateau value F_a(x*), its plus end was not.
     g = raster(0.0, 1.0 / 48, 1.0625, 1.125, 1, 1)
     p = Params(float(g.avec[0]), float(g.bvec[0]))
     for got, which in ((g.rho_minus, MINUS), (g.rho_plus, PLUS)):
@@ -202,7 +199,7 @@ def _reference_rho(a, b, which, n_iter):
         else:
             x = 1.0 - plus.plateau_start
             w, lo, hi = x - 1.0, 1.0 - plus.plateau_end, math.inf
-        flat_val = x + coef * math.sin(TWO_PI * x) + a
+        flat_val = x + a + coef * math.sin(TWO_PI * x)
     y = wind = 0.0
     for _ in range(n_iter):
         if plus.plateau_start is None:
@@ -232,13 +229,13 @@ def _orbit(a, b, which, n_iter):
     The steps are _reference_rho's, in the raster's operation order.
     """
     coef = b / TWO_PI
-    m0 = envelope(Params(0.0, b), which)
+    m = envelope(Params(a, b), which)
     y, steps = 0.0, []
     for _ in range(n_iter):
-        if m0._fold is None:
+        if m._fold is None:
             y, flat = y + a + coef * math.sin(TWO_PI * y), False
         else:
-            (w, lo, hi), v = m0._fold, m0.plateau_value + a
+            (w, lo, hi), v = m._fold, m.plateau_value
             n = math.floor(y - w)
             t = y - n
             flat = lo <= t <= hi
@@ -349,12 +346,12 @@ def test_raster_cycle_jump_keeps_the_bits(monkeypatch):
 
 def test_raster_cells_that_land_in_both_states():
     # v + m and v + m + 1 can reduce to different bits, so a landing is not
-    # a repeat; the check compares the whole reduced y.  At a = 1.2,
-    # b = 7.0625 the lower envelope's orbit lands at step 1 and then every
+    # a repeat; the check compares the whole reduced y.  At a = 1.08,
+    # b = 6.28125 the lower envelope's orbit lands at step 1 and then every
     # other step one ulp lower, so its first repeat is at step 6, period 2.
-    g = raster(0.9, 1.5, 5.5, 8.0, 5, 4, n_iter=997, workers=1)
-    assert 1.2 in g.avec.tolist() and 7.0625 in g.bvec.tolist()
-    orbit = _orbit(1.2, 7.0625, MINUS, 997)
+    g = raster(0.9, 1.5, 5.5, 8.0, 5, 8, n_iter=997, workers=1)
+    assert 1.08 in g.avec.tolist() and 6.28125 in g.bvec.tolist()
+    orbit = _orbit(1.08, 6.28125, MINUS, 997)
     assert [i for i, (_, flat) in enumerate(orbit[:8], 1) if flat] == [1, 3, 5, 7]
     assert orbit[0][0] != orbit[2][0] == orbit[4][0]
     assert _first_repeat(orbit) == (6, 2)
@@ -573,7 +570,7 @@ def test_region_csv_roundtrip(tmp_path):
 # export_csv text recorded before the CSV writers moved to row templates.
 _PINNED_RASTER_CSV = (
     "a,b,rho_minus,rho_plus,err,lock_lo_p,lock_lo_q,lock_hi_p,lock_hi_q\n"
-    "-0.050000000000000003,1.2,-0.0028117834830728395,-0.0026882165169271597,"
+    "-0.050000000000000003,1.2,-0.00281178348307284,-0.0026882165169271597,"
     "0.0050000000000000001,0,1,0,1\n"
     "0.14999999999999999,1.2,0.0032188544238336381,0.00331178348307284,"
     "0.0050000000000000001,0,1,0,1\n"

@@ -27,7 +27,7 @@ from arnoldtongues import (
     trace_curve,
 )
 from arnoldtongues import deriv, envelope, level_sign, tongues
-from arnoldtongues.rotation import _closure, level_gap
+from arnoldtongues.rotation import _closure, _cycle_rho, _scalar_iterate, level_gap
 from arnoldtongues.tongues import _locate_edges, default_window
 
 from helpers import locate_edge, reduced_reference, true_b_edge
@@ -150,19 +150,22 @@ def test_traced_b_edges_hold_the_closed_form_edge():
     # 0.05 and 0.01 (1208 samples), brackets the closed-form edge: its a is
     # within half its residual of it.  At 20 of them level_sign misses the
     # kink minimum of G at the flat piece's end and answers -1 or +1 at the
-    # inside end of the bracket that holds the edge (rho = r there); the float
-    # cycle proves that end, where level_sign alone would reject the bracket
+    # inside end of the bracket that holds the edge (rho = r there); the proof
+    # at that end e keeps the bracket, where level_sign alone would reject it
     # and a later pass would put Bl 0/1 at b = 2.65 4.9e-9 below the edge.
+    # The last curve, from the trace benchmark, is one where a run of the
+    # float cycle did not prove its inside end at b = 2.418111481139702 and
+    # the level gap's bracket missed the edge by 2e-13 more than its half-width.
     mp = pytest.importorskip("mpmath").mp
+    curves = [(kind, n, (1.5, 4.0), step) for kind in ("Bl", "Br") for n in (0, 1) for step in (0.05, 0.01)]
+    curves.append(("Bl", 0, (1.9777016746244351, 2.5159803270319836), 0.04893442294614078))
     checked = 0
-    for kind in ("Bl", "Br"):
-        for n in (0, 1):
-            for step in (0.05, 0.01):
-                for b, a, residual in trace_curve(kind, Fraction(n), (1.5, 4.0), step).samples:
-                    edge = _closed_form_b_edge(kind, n, b, mp)
-                    assert abs(mp.mpf(a) - edge) <= mp.mpf(residual) / 2, (kind, n, b, float(mp.mpf(a) - edge))
-                    checked += 1
-    assert checked == 1208
+    for kind, n, b_range, step in curves:
+        for b, a, residual in trace_curve(kind, Fraction(n), b_range, step).samples:
+            edge = _closed_form_b_edge(kind, n, b, mp)
+            assert abs(mp.mpf(a) - edge) <= mp.mpf(residual) / 2, (kind, n, b, float(mp.mpf(a) - edge))
+            checked += 1
+    assert checked == 1208 + 12
 
 
 def test_plateau_edges_hold_the_b_edges_of_one_third():
@@ -825,13 +828,14 @@ def _recording_ends(monkeypatch):
 )
 def test_proved_inside_ends_are_on_the_plateau_property(kind_b, r, step):
     # On A-type edges (Al and Ar, and every edge at b <= 1) each inside end
-    # that is proved, from the saddle root on the warm samples or from the
-    # float cycle on the first, is one where level_sign returns 0.
+    # that is proved, at the saddle root's x* on the warm samples, is one
+    # where level_sign returns 0.  The first sample has no root: level_sign
+    # decides its ends.
     kind, b_lo = kind_b
     proves, proved = tongues._proves_plateau, []
 
-    def recording(m, r, s, root):
-        held = proves(m, r, s, root)
+    def recording(m, r, s, x):
+        held = proves(m, r, s, x)
         if held:
             proved.append(m)
         return held
@@ -866,27 +870,87 @@ def test_a_wrong_root_proves_nothing_and_level_sign_decides(monkeypatch):
             ((inside, proof),) = proofs
             assert proof == held and (inside in probed) != held and len(probed) == 2 - held, (kind, root)
         moved = a_star + s * 1e-6
-        assert not tongues._proves_plateau(envelope(Params(moved, b), which), r, s, (x_star, moved))
+        assert not tongues._proves_plateau(envelope(Params(moved, b), which), r, s, x_star)
 
 
-def test_a_cycle_of_another_rotation_number_proves_nothing(monkeypatch):
-    # The plus envelope at (0.28, 2) is locked at 1/4: its float cycle proves
-    # 1/4 and nothing about 1/3.  At the B edges of 1/3 at b = 2 (Br and Bl)
-    # the float cycle proves the inside ends; a _cycle_rho that proves a wrong
-    # rational proves neither, level_sign decides every end, and the edges
-    # stay those of plain bisection.
-    m = envelope(Params(0.28, 2.0), PLUS)
-    assert tongues._proves_plateau(m, Fraction(1, 4), 1, None)
-    assert not tongues._proves_plateau(m, Fraction(1, 3), 1, None)
+def _exit_end(b, which):
+    """e, the end of the flat piece through which the which-envelope's orbit leaves at this b."""
+    m = envelope(Params(0.0, b), which)
+    return m.plateau_end if which == PLUS else m.plateau_start
+
+
+def test_b_side_inside_ends_are_proved_at_e_and_the_a_side_has_no_proof(monkeypatch):
+    # plateau_edges holds no saddle root, so on the A side (the plus left and
+    # the minus right edge) level_sign decides both ends and no proof runs.
+    # On the B side each proof is of an inside end at e, the flat piece's exit
+    # end, and the accepted pass's proof holds.
+    b, calls = 2.0, []
+    proves = tongues._proves_plateau
+
+    def recording(m, r, s, x):
+        calls.append((m.which, s, x, proves(m, r, s, x)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(tongues, "_proves_plateau", recording)
+    for r in (ZERO, Fraction(1, 3), HALF, Fraction(2, 5)):
+        for which, s in ((PLUS, 1), (MINUS, -1)):
+            calls.clear()
+            plateau_edges(b, r, which)
+            assert calls and all(call[:3] == (which, s, _exit_end(b, which)) for call in calls), (r, which, calls)
+            assert calls[-1][-1], (r, which, calls)
+
+
+def test_a_wrong_point_proves_nothing(monkeypatch):
+    # At the B edges of 1/3 at b = 2 (Br and Bl) the point e proves the
+    # inside ends, and level_sign runs only at the outside ones.  The e of the
+    # other envelope, or the x* of the saddle root at the A edge of the other
+    # side, proves nothing: level_sign decides every end, and the edges stay
+    # those of plain bisection.
+    b, r = 2.0, Fraction(1, 3)
+    window = default_window(b, r)
+    wrong_points = {}
+    for which, side, other in ((MINUS, "left", "right"), (PLUS, "right", "left")):
+        (edge, _), = _plain_sign_bisection(b, r, which, (other,), window, 1e-8)
+        x_star, _ = tongues._saddle_at_edge(b, r, which, other, edge, 64)
+        wrong_points[which] = (_exit_end(b, MINUS if which == PLUS else PLUS), x_star)
     probed, proofs = _recording_ends(monkeypatch)
-    r, window = Fraction(1, 3), default_window(2.0, Fraction(1, 3))
-    for wrong in (False, True):
-        if wrong:
-            monkeypatch.setattr(tongues, "_cycle_rho", lambda m, lam, w, y: Fraction(int(w), lam) + 1)
-        for which, side in ((MINUS, "left"), (PLUS, "right")):
+    proves = tongues._proves_plateau
+    for which, side in ((MINUS, "left"), (PLUS, "right")):
+        plain = _plain_sign_bisection(b, r, which, (side,), window, 1e-8)
+        for wrong in (None, *wrong_points[which]):
+
+            def at_point(m, r, s, x, wrong=wrong):
+                return proves(m, r, s, x if wrong is None else wrong)
+
+            monkeypatch.setattr(tongues, "_proves_plateau", at_point)
             probed.clear()
             proofs.clear()
-            got = _locate_edges(2.0, r, which, (side,), window, 1e-8, 64)
-            assert got == _plain_sign_bisection(2.0, r, which, (side,), window, 1e-8), (which, wrong)
+            assert _locate_edges(b, r, which, (side,), window, 1e-8, 64) == plain, (which, wrong)
             ((inside, held),) = proofs
-            assert held != wrong and (inside in probed) == wrong, (which, wrong)
+            assert held == (wrong is None) and (inside in probed) == (wrong is not None), (which, wrong)
+            assert len(probed) == 1 + (wrong is not None), (which, wrong)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(("Bl", "Br")),
+    r=st.sampled_from([Fraction(p, q) for q in (1, 2, 3) for p in range(q + 1)]),
+    b_lo=st.floats(1.4, 3.88),
+    step=st.floats(0.01, 0.04),
+)
+def test_the_float_cycle_proves_no_inside_end_that_e_does_not_property(kind, r, b_lo, step):
+    # Wherever the float cycle of 4q + 64 scalar steps from 0 proves rho = r
+    # (rotation._cycle_rho) at a traced inside end on the B side, the proof at
+    # the flat piece's exit end e holds there too.
+    proves, tried = tongues._proves_plateau, []
+
+    def recording(m, r, s, x):
+        tried.append((m, proves(m, r, s, x)))
+        return tried[-1][1]
+
+    with mock.patch.object(tongues, "_proves_plateau", recording):
+        trace_curve(kind, r, (b_lo, b_lo + 3 * step), step)
+    for m, held in tried:
+        cycle = []
+        _scalar_iterate(m)(0.0, 4 * r.denominator + 64, cycle=cycle)
+        assert held or not (cycle and _cycle_rho(m, *cycle) == r), (kind, r, m)
