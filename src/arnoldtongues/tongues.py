@@ -33,12 +33,14 @@ level_sign), which is plain level_sign bisection.  For b > 1 the B side
 of a plateau (Bl, Br) first tries the plateau return h = G(e), q scalar
 steps from the end e of the flat piece through which the plateau's orbit
 leaves: on a B-curve the critical value lands on that orbit, and e is
-the B edge's proof point.  On an A-type edge (Al, Ar, and every edge for
-b <= 1) trace_curve carries the previous sample's saddle-node root (x*,
-a*), where G and G_x vanish for the raw lift: on an A-curve the
-distinguished orbit is parabolic.  Newton from it (orbits._saddle_node)
-at the next b gives a candidate root, the gap a - a* runs ahead of the
-cascade, and x* is the proof point.  While level_sign is monotone in a
+the B edge's proof point.  On an A-curve the distinguished orbit is
+parabolic: a saddle-node root (x*, a*), where G and G_x vanish for the
+raw lift.  So every A-type edge (Al, Ar, and every edge for b <= 1)
+first tries the gap a - a*, with x* as the proof point.  trace_curve
+carries the root from sample to sample by Newton (orbits._saddle_node);
+an edge without one (a first sample, a lost root, plateau_edges,
+region_boundary, intersect_curves) restarts from the dips of G at the
+window's centre (_saddle_at_edge).  While level_sign is monotone in a
 and agrees with the proofs, the edges are bit for bit those of plain
 bisection, whichever pass decides; where level_sign misses the kink
 minimum of G at a flat piece's end and answers +-1 inside the plateau,
@@ -57,7 +59,7 @@ from .errors import (
     EmptyPlateauError,
     NoOrbitError,
 )
-from .maps import MINUS, PLUS, TWO_PI, MonotoneLift, Params, critical_points, envelope, eval_lift
+from .maps import MINUS, PLUS, TWO_PI, MonotoneLift, Params, _plateau, critical_points, envelope, eval_lift
 from .orbits import PeriodicOrbit, _saddle_node, orbit_pair
 from .rotation import Q_MAX_DEFAULT, Rational, _closure, _cyclic_minima, _g_bounds, _g_straddles
 from .rotation import _level_grid, level_gap, level_sign
@@ -278,7 +280,7 @@ def _locate_edges(
     tol: float,
     q_max: int,
     candidate: Optional[Tuple[float, float]] = None,
-) -> List[Tuple[float, float]]:
+) -> List[Tuple[float, float, Optional[Tuple[float, float]]]]:
     """Bisect the named edges ("left", "right") of one plateau of r at this b.
 
     The plateau is where the which-envelope level sign s(a) is 0.  Its left
@@ -292,21 +294,25 @@ def _locate_edges(
     probes the window ends.  s decides the outside end first, and the end
     inside the plateau (hi of a left edge, lo of a right one) only where
     _proves_plateau fails at the point where G touches zero on the edge
-    (candidate's x* on an A edge, e on the B side for b > 1) or there is
-    none.  Proofs are not memoised in s, so the sign gap stays plain
+    (the root's x* on an A-type edge, e on the B side for b > 1) or there
+    is none.  Proofs are not memoised in s, so the sign gap stays plain
     level_sign bisection.  The cascade:
-      - a - a*, only when a candidate saddle-node root (x*, a*) is given
-        (trace_curve's, on an A-type edge).  A wrong candidate only costs
-        the pass: the certificate rejects it;
+      - a - a*, only on an A-type side (not the B side for b > 1) with a
+        saddle-node root (x*, a*) whose a* lies in the window: the
+        candidate (trace_curve's), else the restart _saddle_at_edge at the
+        window's centre.  A wrong root only costs the pass: the certificate
+        rejects it;
       - h, the plateau return G(e) = M^(q-1)(v) - e - p, only on the B side
         for b > 1: the plus plateau's right edge (e = plateau_end) and the
-        minus plateau's left edge (e = plateau_start).  Where the edge is a
-        smooth extremum of G instead (near b = 1), the zero of h is not the
-        edge and the certificate rejects the pass;
+        minus plateau's left edge (e = plateau_start), read from
+        maps._plateau(b).  Where the edge is a smooth extremum of G
+        instead (near b = 1), the zero of h is not the edge and the
+        certificate rejects the pass;
       - phi, the level gap, or the sign gap where phi is nan;
       - the sign gap: +inf where s > c, -inf elsewhere, whose ends certify
         by construction.
-    Returns one (edge, final bracket width) per side.
+    Returns one (edge, final bracket width, root) per side, root being the
+    saddle-node (x*, a*) whose pass certified, else None.
     """
     def lift(a: float) -> MonotoneLift:
         return envelope(Params(a, b), which)
@@ -318,18 +324,10 @@ def _locate_edges(
             signs[a] = level_sign(lift(a), r, q_max=q_max)
         return signs[a]
 
-    m = lift(a_window[0])  # e, the flat piece's exit end for b > 1: G(e) = 0 at a B edge, and b alone places it
-    e = m.plateau_end if which == PLUS else m.plateau_start
-
-    def plateau_return(a: float) -> float:
-        return _closure(lift(a), r)(e)
-
-    def saddle_node(a: float) -> float:
-        return a - candidate[1]
-
     b_cut = 0 if which == PLUS else -1  # the B side: Bl, the plus right edge; Br, the minus left
     edges = []
-    for c in (-1 if side == "left" else 0 for side in sides):
+    for side in sides:
+        c = -1 if side == "left" else 0
         s = 2 * c + 1  # the gap phi_R for the right edge, phi_L for the left
 
         def sign_gap(a: float) -> float:
@@ -339,11 +337,27 @@ def _locate_edges(
             phi = level_gap(lift(a), r, s, q_max=q_max)
             return phi if phi == phi else sign_gap(a)
 
-        b_side = c == b_cut and b > 1.0
-        gaps = (plateau_return, gap, sign_gap) if b_side else (gap, sign_gap)
-        point = e if b_side else None if candidate is None else candidate[0]
-        if candidate is not None:
-            gaps = (saddle_node, *gaps)
+        root = None
+        if c == b_cut and b > 1.0:
+            # e: the plus plateau ends at t, the minus one starts at 1 - t, exact as in maps.envelope.
+            t = _plateau(b)[1]
+            point = t if which == PLUS else 1.0 - t
+
+            def plateau_return(a: float) -> float:
+                return _closure(lift(a), r)(point)
+
+            gaps = (plateau_return, gap, sign_gap)
+        else:
+            centre = 0.5 * (a_window[0] + a_window[1])
+            root = candidate if candidate is not None else _saddle_at_edge(b, r, which, side, centre, q_max)
+            if root is not None and not a_window[0] <= root[1] <= a_window[1]:
+                root = None
+            point = None if root is None else root[0]
+
+            def saddle_node(a: float) -> float:
+                return a - root[1]
+
+            gaps = (gap, sign_gap) if root is None else (saddle_node, gap, sign_gap)
         for decide in gaps:
             lo, hi = _gap_bisect(decide, a_window, tol)
             # The outside end by s first, then the inside end: proved at the point, else by s.
@@ -357,7 +371,7 @@ def _locate_edges(
                 f"window {a_window!r} does not bracket the {target}{which} plateau "
                 f"of {r} at b={b!r}: end signs ({sgn(a_window[0])}, {sgn(a_window[1])})"
             )
-        edges.append((0.5 * (lo + hi), hi - lo))
+        edges.append((0.5 * (lo + hi), hi - lo, root if decide is gaps[0] else None))
     return edges
 
 
@@ -391,7 +405,7 @@ def plateau_edges(
     if not lo_w < hi_w:
         raise BadWindowError(f"empty window {a_window!r}")
 
-    (a_left, _), (a_right, _) = _locate_edges(
+    (a_left, _, _), (a_right, _, _) = _locate_edges(
         b, r, which, ("left", "right"), a_window, tol, q_max
     )
     if a_right < a_left - tol:
@@ -408,11 +422,13 @@ def plateau_edges(
 def _saddle_at_edge(
     b: float, r: Rational, which: str, side: str, a: float, q_max: int
 ) -> Optional[Tuple[float, float]]:
-    """The saddle-node root (x*, a*) whose a* is nearest the located edge a, or None.
+    """The saddle-node root (x*, a*) whose a* is nearest a, or None.
 
+    a is a located edge (trace_curve) or a window's centre (_locate_edges).
     _saddle_node starts from (x, a) at each cyclic grid-local minimum x of
     s*G on level_sign's grid of the which-envelope at a: s = -1 for a left
-    edge, which the maximum of G decides, and s = 1 for a right one.
+    edge, which the maximum of G decides, and s = 1 for a right one.  On an
+    a-priori window the nearest root may be the other A edge's.
     """
     grid, g = _level_grid(envelope(Params(a, b), which), r, q_max)
     s = -1 if side == "left" else 1
@@ -439,13 +455,14 @@ def trace_curve(
     root (x*, a*) of the previous sample is a Newton warm start
     (_saddle_node) at the next b, and a converged root whose a* lies inside
     the cone is the candidate of _locate_edges: a* seeds its first pass and
-    x* proves the inside end of each final bracket.  After each sample the
-    root is kept when the located edge's final bracket holds its a* (its
-    pass certified), else restarted from the dips at that edge
-    (_saddle_at_edge).  The state lives in this call alone, and since the
-    certificate decides and a proof holds only where rho = r, the samples
-    are those without it, bit for bit, wherever level_sign agrees with the
-    proofs.
+    x* proves the inside end of each final bracket.  Without one,
+    _locate_edges restarts from the dips at the cone's centre.  After each
+    sample the root whose pass certified is kept, as _locate_edges hands it
+    back; where none did, the root restarts from the dips at the located
+    edge (_saddle_at_edge).  The state lives in this call alone, and since
+    the certificate decides and a proof holds only where rho = r, the
+    samples are those without it, bit for bit, wherever level_sign agrees
+    with the proofs.
     """
     if kind not in KIND_TO_EDGE:
         raise ValueError(f"unknown curve kind {kind!r}")
@@ -467,7 +484,7 @@ def trace_curve(
             if root is not None and not window[0] <= root[1] <= window[1]:
                 root = None
         try:
-            ((a, width),) = _locate_edges(
+            ((a, width, root),) = _locate_edges(
                 b, r, which, (side,), window, tol, q_max, root
             )
         except BadWindowError as exc:
@@ -476,7 +493,7 @@ def trace_curve(
                 f"b={b!r}: {exc}",
                 b=b,
             ) from exc
-        if saddle and (root is None or not abs(a - root[1]) <= 0.5 * width):
+        if saddle and root is None:
             root = _saddle_at_edge(b, r, which, side, a, q_max)
         samples.append((b, a, width))
         prev_a = a

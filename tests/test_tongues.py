@@ -454,6 +454,11 @@ def test_tongue_order_and_symmetry_at_b2():
     assert max(al, br) <= min(bl, ar) + 2 * tol
 
 
+def _edges(located):
+    """The (edge, final bracket width) pairs of _locate_edges, without the certified saddle roots."""
+    return [(edge, width) for edge, width, _ in located]
+
+
 @lru_cache(maxsize=None)
 def _plain_sign_bisection(b, r, which, sides, window, tol, q_max=64):
     """The edge search without the level gap: halve the window on level_sign alone (cached)."""
@@ -493,8 +498,11 @@ def _parity_window(b, r, which, sides, cone):
 def _check_parity(monkeypatch):
     """Assert every parity case matches plain bisection; return the cases that fell back.
 
-    A fallback is a second _gap_bisect call for one side, on the sign gap.
+    The saddle-node restart is patched out, so each side runs the level gap
+    and then the sign gap.  A fallback is a second _gap_bisect call for one
+    side, on the sign gap.
     """
+    monkeypatch.setattr(tongues, "_saddle_at_edge", lambda *args: None)
     fallbacks = []
     gap_bisect = tongues._gap_bisect
     calls = []
@@ -508,7 +516,7 @@ def _check_parity(monkeypatch):
         b, r, which, sides, cone = case
         window = _parity_window(b, r, which, sides, cone)
         calls.clear()
-        got = _locate_edges(b, r, which, sides, window, 1e-8, 64)
+        got = _edges(_locate_edges(b, r, which, sides, window, 1e-8, 64))
         assert got == _plain_sign_bisection(b, r, which, sides, window, 1e-8), case
         fallbacks += [case] * (len(calls) - len(sides))
     return fallbacks
@@ -542,7 +550,7 @@ def test_plateau_brackets_are_cells_of_one_partition():
     ]
     for b, r, which, tol in cases:
         window = default_window(b, r)
-        (a_left, w_left), (a_right, w_right) = _locate_edges(b, r, which, ("left", "right"), window, tol, 64)
+        (a_left, w_left, _), (a_right, w_right, _) = _locate_edges(b, r, which, ("left", "right"), window, tol, 64)
         same_cell = (a_left, w_left) == (a_right, w_right)
         apart = a_right - a_left + 4 * math.ulp(max(abs(a_left), abs(a_right))) >= min(w_left, w_right)
         assert same_cell or apart, (b, r, which, tol)
@@ -612,7 +620,7 @@ def test_no_level_sign_probe_twice_in_one_edge_search(monkeypatch):
         window = _parity_window(b, r, which, sides, cone)
         probed.clear()
         bracket_ends.clear()
-        got = _locate_edges(b, r, which, sides, window, 1e-8, 64)
+        got = _edges(_locate_edges(b, r, which, sides, window, 1e-8, 64))
         assert got == _plain_sign_bisection(b, r, which, sides, window, 1e-8)
         assert len(probed) == len(set(probed)), (b, r, which, sides)
         assert not (set(window) & set(probed)) - bracket_ends, (b, r, which, sides)
@@ -631,7 +639,7 @@ def _edge_passes(monkeypatch, cases):
         which, side = tongues.KIND_TO_EDGE[kind]
         window = default_window(b, r)
         passes.clear()
-        got = _locate_edges(b, r, which, (side,), window, 1e-8, 64)
+        got = _edges(_locate_edges(b, r, which, (side,), window, 1e-8, 64))
         assert got == _plain_sign_bisection(b, r, which, (side,), window, 1e-8), (b, r, kind)
         ran.append(tuple(passes))
     return ran
@@ -691,7 +699,11 @@ SADDLE_TRACES = [
 
 
 def _recording_edge_searches(monkeypatch):
-    """Patch _locate_edges to append (b, candidate root (x*, a*) or None, edges, gap names run) per call to the returned list."""
+    """Patch _locate_edges to append (b, candidate root or None, its result, gap names run) per call to the returned list.
+
+    The result holds (edge, width, root) per side, root being the saddle-node
+    (x*, a*) whose pass certified, carried or restarted, or None.
+    """
     passes = _recording_gap_bisect(monkeypatch)
     locate = tongues._locate_edges
     searches = []
@@ -709,6 +721,7 @@ def _recording_edge_searches(monkeypatch):
 def test_saddle_pass_traces_equal_the_traces_without_it(monkeypatch):
     # The Newton root only seeds the first pass, whose end certificate
     # decides, so every sample is that of the trace without the warm start.
+    # Patching _saddle_node out also stops the restarts, which run it.
     searches = _recording_edge_searches(monkeypatch)
     warm = []
     for kind, r, b_range, step in SADDLE_TRACES:
@@ -738,21 +751,75 @@ def test_a_wrong_saddle_candidate_is_rejected_by_the_end_certificate(monkeypatch
         assert root is not None, (b, r, kind)
         for shift, ran in ((0.0, ("saddle_node",)), (1e-6, ("saddle_node", "gap")), (-1e-6, ("saddle_node", "gap"))):
             passes.clear()
-            got = _locate_edges(b, r, which, (side,), window, 1e-8, 64, (root[0], root[1] + shift))
+            got = _edges(_locate_edges(b, r, which, (side,), window, 1e-8, 64, (root[0], root[1] + shift)))
             assert got == plain, (b, r, kind, shift)
             assert tuple(passes) == ran, (b, r, kind, shift)
 
 
+def test_cold_edges_with_the_restart_match_plain_sign_bisection():
+    # Without a carried root each A-type side restarts from the dips at the
+    # window centre (every side for b <= 1, the plus left and minus right
+    # edge for b > 1).  Whether the restart's pass decides or a wrong root
+    # hands the edge to the level gap, both edges are those of plain bisection.
+    labels = sorted({Fraction(p, q) for q in range(1, 6) for p in range(q + 1)})
+    decided = 0
+    for b in (0.5, 2.0, 3.0):
+        for r in labels:
+            for which in (PLUS, MINUS):
+                window = default_window(b, r)
+                got = _locate_edges(b, r, which, ("left", "right"), window, 1e-8, 64)
+                assert _edges(got) == _plain_sign_bisection(b, r, which, ("left", "right"), window, 1e-8), (b, r, which)
+                decided += sum(root is not None for _, _, root in got)
+    assert decided > len(labels) * 3, decided
+
+
+def test_cold_n_over_1_a_edges_are_decided_by_the_restart(monkeypatch):
+    # On Al n/1 (a = n - b/2pi) and Ar n/1 (a = n + b/2pi) the restart at the
+    # a-priori window's centre finds the saddle-node, its pass alone decides,
+    # and the edge is the closed form within tol.
+    passes = _recording_gap_bisect(monkeypatch)
+    for b in (0.3, 1.0, 1.5, 2.0, 3.0, 4.5):
+        for n in (0, 1):
+            for kind, edge in (("Al", n - b / TWO_PI), ("Ar", n + b / TWO_PI)):
+                which, side = tongues.KIND_TO_EDGE[kind]
+                passes.clear()
+                ((a, width, root),) = _locate_edges(b, Fraction(n), which, (side,), default_window(b, n), 1e-8, 64)
+                assert tuple(passes) == ("saddle_node",) and root is not None, (b, n, kind, passes)
+                assert abs(a - edge) <= 1e-8 and width <= 1e-8, (b, n, kind, a - edge)
+
+
+def test_a_restart_root_outside_the_window_is_dropped(monkeypatch):
+    # A restart whose a* lies outside the window is dropped before any pass:
+    # the level gap decides, no inside end is proved, no root is handed back,
+    # and the edge is that of plain bisection.
+    passes = _recording_gap_bisect(monkeypatch)
+    _, proofs = _recording_ends(monkeypatch)
+    restart = tongues._saddle_at_edge
+    for b, r, kind in ((2.0, Fraction(1, 3), "Al"), (2.0, HALF, "Ar"), (0.5, Fraction(1, 4), "Bl")):
+        which, side = tongues.KIND_TO_EDGE[kind]
+        window = default_window(b, r)
+        plain = _plain_sign_bisection(b, r, which, (side,), window, 1e-8)
+        for a_star in (window[0] - 1e-3, window[1] + 1e-3):
+            x_star, _ = restart(b, r, which, side, plain[0][0], 64)
+            monkeypatch.setattr(tongues, "_saddle_at_edge", lambda *args, root=(x_star, a_star): root)
+            passes.clear()
+            proofs.clear()
+            ((a, width, root),) = _locate_edges(b, r, which, (side,), window, 1e-8, 64)
+            assert [(a, width)] == plain and root is None, (b, r, kind, a_star)
+            assert tuple(passes) == ("gap",) and proofs == [], (b, r, kind, passes, proofs)
+
+
 def test_certified_saddle_roots_are_parabolic_orbits(monkeypatch):
-    # Orbit-side oracle: where the saddle pass decided, its (x*, a*) closes
-    # an orbit of the raw lift with multiplier 1, and level_sign puts
-    # a* -+ 1e-9 on the edge's two sides.  The orbit scan must find that
-    # orbit parabolic too, within 1e-6, q = 5 included: for Ar 2/5 near
-    # b = 1.8 the golden-section minimum of |G| alone, which places a double
-    # root only to about sqrt(1e-16 / G_xx), read the multiplier up to 1.2e-6
-    # off, and the scan now moves each dip root to the zero of G_x.
+    # Orbit-side oracle: where the saddle pass decided, from the carried root
+    # or from the restart at the window centre, its (x*, a*) closes an orbit
+    # of the raw lift with multiplier 1, and level_sign puts a* -+ 1e-9 on
+    # the edge's two sides.  The orbit scan must find that orbit parabolic
+    # too, within 1e-6, q = 5 included: for Ar 2/5 near b = 1.8 the
+    # golden-section minimum of |G| alone, which places a double root only
+    # to about sqrt(1e-16 / G_xx), read the multiplier up to 1.2e-6 off, and
+    # the scan now moves each dip root to the zero of G_x.
     searches = _recording_edge_searches(monkeypatch)
-    checked = 0
+    checked, restarted = 0, 0
     for kind, r, b_range, step in (
         ("Al", Fraction(1, 3), (0.5, 2.5), 0.1),
         ("Ar", HALF, (0.5, 2.5), 0.1),
@@ -765,9 +832,11 @@ def test_certified_saddle_roots_are_parabolic_orbits(monkeypatch):
         cut = -1 if side == "left" else 0
         searches.clear()
         trace_curve(kind, r, b_range, step)
-        for b, root, _, passes in searches:
-            if passes[-1:] != ("saddle_node",):
+        for b, candidate, ((_, _, root),), passes in searches:
+            assert (root is not None) == (passes[-1] == "saddle_node"), (kind, r, b)
+            if root is None:
                 continue
+            restarted += candidate is None
             x_star, a_star = root
             p = Params(a_star, b)
             assert abs(_closure(p, r)(x_star)) < 1e-9, (kind, r, b)
@@ -778,7 +847,7 @@ def test_certified_saddle_roots_are_parabolic_orbits(monkeypatch):
             assert below <= cut < above, (kind, r, b)
             assert boundary_condition_residuals(p, r).saddle_node < 1e-6, (kind, r, b)
             checked += 1
-    assert checked > 50
+    assert checked > 50 and restarted >= 6, (checked, restarted)  # the restart decides each first sample
 
 
 def test_a_failed_trace_leaves_no_warm_start_behind(monkeypatch):
@@ -828,9 +897,9 @@ def _recording_ends(monkeypatch):
 )
 def test_proved_inside_ends_are_on_the_plateau_property(kind_b, r, step):
     # On A-type edges (Al and Ar, and every edge at b <= 1) each inside end
-    # that is proved, at the saddle root's x* on the warm samples, is one
-    # where level_sign returns 0.  The first sample has no root: level_sign
-    # decides its ends.
+    # that is proved, at the x* of the carried saddle root or, on the first
+    # sample, of the restart at the window centre, is one where level_sign
+    # returns 0.
     kind, b_lo = kind_b
     proves, proved = tongues._proves_plateau, []
 
@@ -866,7 +935,7 @@ def test_a_wrong_root_proves_nothing_and_level_sign_decides(monkeypatch):
         for root, held in (((x_star, a_star), True), ((wrong_x, a_star), False)):
             probed.clear()
             proofs.clear()
-            assert _locate_edges(b, r, which, (side,), window, 1e-8, 64, root) == [plain], (kind, root)
+            assert _edges(_locate_edges(b, r, which, (side,), window, 1e-8, 64, root)) == [plain], (kind, root)
             ((inside, proof),) = proofs
             assert proof == held and (inside in probed) != held and len(probed) == 2 - held, (kind, root)
         moved = a_star + s * 1e-6
@@ -879,25 +948,43 @@ def _exit_end(b, which):
     return m.plateau_end if which == PLUS else m.plateau_start
 
 
-def test_b_side_inside_ends_are_proved_at_e_and_the_a_side_has_no_proof(monkeypatch):
-    # plateau_edges holds no saddle root, so on the A side (the plus left and
-    # the minus right edge) level_sign decides both ends and no proof runs.
-    # On the B side each proof is of an inside end at e, the flat piece's exit
-    # end, and the accepted pass's proof holds.
-    b, calls = 2.0, []
-    proves = tongues._proves_plateau
+def test_b_side_inside_ends_are_proved_at_e_and_the_a_side_at_the_restart_root(monkeypatch):
+    # plateau_edges' search carries no saddle root.  On the A side (the plus
+    # left and the minus right edge) the saddle-node restart at the window
+    # centre gives the proof point, its x*, and where the restart's pass
+    # decides, its proof holds.  On the B side each proof is of an inside end
+    # at e, the flat piece's exit end, and the accepted pass's proof holds.
+    b, calls, restarts, decided = 2.0, [], [], 0
+    proves, restart = tongues._proves_plateau, tongues._saddle_at_edge
 
     def recording(m, r, s, x):
         calls.append((m.which, s, x, proves(m, r, s, x)))
         return calls[-1][-1]
 
+    def recording_restart(*args):
+        restarts.append(restart(*args))
+        return restarts[-1]
+
     monkeypatch.setattr(tongues, "_proves_plateau", recording)
+    monkeypatch.setattr(tongues, "_saddle_at_edge", recording_restart)
     for r in (ZERO, Fraction(1, 3), HALF, Fraction(2, 5)):
-        for which, s in ((PLUS, 1), (MINUS, -1)):
+        for which, s in ((PLUS, 1), (MINUS, -1)):  # s of the B side
+            edges = plateau_edges(b, r, which)
             calls.clear()
-            plateau_edges(b, r, which)
-            assert calls and all(call[:3] == (which, s, _exit_end(b, which)) for call in calls), (r, which, calls)
-            assert calls[-1][-1], (r, which, calls)
+            restarts.clear()
+            left, right = _locate_edges(b, r, which, ("left", "right"), default_window(b, r), 1e-8, 64)
+            assert edges == (left[0], right[0])
+            (restarted,) = restarts
+            a_root = (left if which == PLUS else right)[2]
+            assert a_root in (None, restarted) and (left if which == MINUS else right)[2] is None, (r, which)
+            decided += a_root is not None
+            b_ends = [call for call in calls if call[1] == s]
+            a_ends = [call for call in calls if call[1] == -s]
+            assert b_ends and all(call[:3] == (which, s, _exit_end(b, which)) for call in b_ends), (r, which, calls)
+            assert b_ends[-1][-1], (r, which, calls)
+            assert all(call[:3] == (which, -s, restarted[0]) for call in a_ends), (r, which, calls)
+            assert a_root is None or a_ends[-1][-1], (r, which, calls)
+    assert decided >= 5  # all but the minus right edges of 1/3 and 2/5 and the plus left edge of 2/5
 
 
 def test_a_wrong_point_proves_nothing(monkeypatch):
@@ -925,7 +1012,7 @@ def test_a_wrong_point_proves_nothing(monkeypatch):
             monkeypatch.setattr(tongues, "_proves_plateau", at_point)
             probed.clear()
             proofs.clear()
-            assert _locate_edges(b, r, which, (side,), window, 1e-8, 64) == plain, (which, wrong)
+            assert _edges(_locate_edges(b, r, which, (side,), window, 1e-8, 64)) == plain, (which, wrong)
             ((inside, held),) = proofs
             assert held == (wrong is None) and (inside in probed) == (wrong is not None), (which, wrong)
             assert len(probed) == 1 + (wrong is not None), (which, wrong)
